@@ -11,8 +11,8 @@ as pytest tests) runs the seeded workloads from
 :mod:`repro.workloads.queries` through both executors and asserts:
 
 * **equivalence** — byte-identical :class:`QueryResult`s (columns and
-  rows, including row order) between ``planner=True`` and
-  ``planner=False`` on every query;
+  rows, including row order) between ``matching="planned"`` and
+  ``matching="naive"`` on every query;
 * **join-heavy speedup** — the planner is at least ``--min-join-speedup``
   (default 5) times faster per execution on the join-heavy workload;
 * **selective-filter speedup** — at least ``--min-filter-speedup``
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import time
 
+from repro.config import ExecutionConfig
 from repro.engine import plan
 from repro.engine.query import DatabaseProvider, execute_select
 from repro.workloads.queries import (
@@ -37,7 +38,7 @@ from repro.workloads.queries import (
 GATE_SCHEMA_VERSION = 1
 
 
-def _run_workload(database, queries, planner: bool, repeats: int) -> tuple:
+def _run_workload(database, queries, matching: str, repeats: int) -> tuple:
     """Execute every query *repeats* times; returns (results, seconds).
 
     ``results`` covers one pass (they are identical across passes); the
@@ -45,11 +46,12 @@ def _run_workload(database, queries, planner: bool, repeats: int) -> tuple:
     ``seconds / repeats``.
     """
     provider = DatabaseProvider(database)
+    config = ExecutionConfig(matching=matching)
     results = []
     started = time.perf_counter()
     for pass_index in range(repeats):
         pass_results = [
-            execute_select(provider, query, planner=planner)
+            execute_select(provider, query, config=config)
             for query in queries
         ]
         if pass_index == 0:
@@ -74,10 +76,10 @@ def run_workload_gate(
     plan.clear_caches()
     plan.STATS.reset()
     naive_results, naive_seconds = _run_workload(
-        database, queries, planner=False, repeats=naive_repeats
+        database, queries, matching="naive", repeats=naive_repeats
     )
     planned_results, planned_seconds = _run_workload(
-        database, queries, planner=True, repeats=planned_repeats
+        database, queries, matching="planned", repeats=planned_repeats
     )
 
     assert _result_repr(naive_results) == _result_repr(planned_results), (

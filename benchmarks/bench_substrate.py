@@ -8,8 +8,8 @@ processing steps, and execution-graph exploration rate.
 Gate mode (``python benchmarks/bench_substrate.py --gate``, also run as
 pytest tests) pits the incremental substrate (cached per-rule net
 effects, per-table touch index, COW snapshots, chunk-shared logs)
-against the from-scratch path (``incremental=False``) on fixed seeded
-workloads and asserts:
+against the from-scratch path (``ExecutionConfig(incremental=False)``)
+on fixed seeded workloads and asserts:
 
 * **equivalence** — byte-identical ``ProcessingResult``s, observable
   streams, final canonical databases, ``state_key()``s, and explored
@@ -32,6 +32,7 @@ import time
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement
 from repro.lang.parser import parse_rules, parse_statement
@@ -201,7 +202,10 @@ def run_triggering_gate(n_rules: int = 50, n_ops: int = 1000) -> dict:
         database = Database(schema)
         database.load("work", [(1, 30)])
         processor = RuleProcessor(
-            ruleset, database, incremental=incremental, max_steps=50_000
+            ruleset,
+            database,
+            max_steps=50_000,
+            config=ExecutionConfig(incremental=incremental),
         )
         for op in range(n_ops - 1):
             processor.execute_user(f"insert into feed values ({op}, {op % 7})")
@@ -273,7 +277,9 @@ def _exploration_scenario():
         database = Database(schema)
         database.load("stock", [(item, 0) for item in range(8)])
         database.load("ballast", [(i, i % 13) for i in range(2000)])
-        processor = RuleProcessor(ruleset, database, incremental=incremental)
+        processor = RuleProcessor(
+            ruleset, database, config=ExecutionConfig(incremental=incremental)
+        )
         for op in range(200):
             processor.execute_user(
                 f"insert into ballast values ({10_000 + op}, {op % 13})"
@@ -340,7 +346,7 @@ def run_sampled_equivalence_gate(runs: int = 8) -> dict:
                 ruleset,
                 database,
                 strategy=RandomStrategy(seed),
-                incremental=incremental,
+                config=ExecutionConfig(incremental=incremental),
             )
             for op in range(40):
                 processor.execute_user(

@@ -473,7 +473,7 @@ class RuleAnalyzer:
                 lambda g=group_list: self.analyze_partial_confluence(g),
             )
             partial[analysis.tables] = analysis
-        stats = self.engine.stats.snapshot().to_dict()
+        stats = self.engine.stats.snapshot()
         stats["pair_pruning"] = timed(
             "pair_pruning", self.engine.pair_pruning_counts
         )

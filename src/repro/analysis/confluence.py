@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis._deprecation import warn_direct_construction
 from repro.analysis.commutativity import (
     CommutativityAnalyzer,
     NoncommutativityReason,
@@ -304,10 +303,10 @@ def judge_unordered_pair(
 class ConfluenceAnalyzer:
     """Applies Definition 6.5 across all unordered pairs of a rule set.
 
-    .. deprecated::
-        Construct analyses through :class:`repro.RuleAnalyzer` (or an
-        :class:`~repro.analysis.engine.AnalysisEngine`) instead; this
-        stand-alone path re-judges every pair on every call.
+    The memo-free reference path: it re-judges every pair on every call.
+    :class:`repro.RuleAnalyzer` (through an
+    :class:`~repro.analysis.engine.AnalysisEngine`) shares memoized pair
+    verdicts across analyses instead.
     """
 
     def __init__(
@@ -315,11 +314,7 @@ class ConfluenceAnalyzer:
         definitions: DerivedDefinitions,
         priorities: PriorityRelation,
         commutativity: CommutativityAnalyzer | None = None,
-        *,
-        _internal: bool = False,
     ) -> None:
-        if not _internal:
-            warn_direct_construction("ConfluenceAnalyzer")
         self.definitions = definitions
         self.priorities = priorities
         self.commutativity = commutativity or CommutativityAnalyzer(definitions)

@@ -52,7 +52,6 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.commutativity import (
@@ -70,6 +69,7 @@ from repro.analysis.derived import (
 )
 from repro.analysis.termination import TerminationAnalysis, TerminationAnalyzer
 from repro.rules.ruleset import RuleSet
+from repro.stats import StatsBase
 
 #: The two definition views an engine serves: the paper's base
 #: definitions (Sections 3–7) and the ``Obs``-extended definitions
@@ -78,44 +78,37 @@ BASE_VIEW = "base"
 OBS_VIEW = "obs"
 
 
-@dataclass
-class EngineStats:
+class EngineStats(StatsBase):
     """Counters and per-phase timings for one engine (cumulative).
 
     ``pairs_judged`` counts Definition 6.5 unordered-pair verdicts
     actually computed (fixpoint + Lemma 6.1 checks over R1 × R2);
     ``pair_memo_hits`` counts verdicts served from the memo instead.
     ``lemma_judgments`` / ``lemma_memo_hits`` are the same split for the
-    raw Lemma 6.1 pair reasons underneath.
+    raw Lemma 6.1 pair reasons underneath. ``timings`` maps a phase to
+    its accumulated wall-clock seconds.
     """
 
-    pairs_judged: int = 0
-    pair_memo_hits: int = 0
-    lemma_judgments: int = 0
-    lemma_memo_hits: int = 0
-    invalidations: int = 0
-    fixpoint_iterations: int = 0
-    parallel_batches: int = 0
-    confluence_passes: int = 0
-    timings: dict[str, float] = field(default_factory=dict)
+    FIELDS = (
+        "pairs_judged",
+        "pair_memo_hits",
+        "lemma_judgments",
+        "lemma_memo_hits",
+        "invalidations",
+        "fixpoint_iterations",
+        "parallel_batches",
+        "confluence_passes",
+    )
+
+    def reset(self) -> None:
+        super().reset()
+        self.timings: dict[str, float] = {}
 
     def add_time(self, phase: str, seconds: float) -> None:
         self.timings[phase] = self.timings.get(phase, 0.0) + seconds
 
-    def snapshot(self) -> "EngineStats":
-        clone = EngineStats(**{
-            key: value
-            for key, value in self.__dict__.items()
-            if key != "timings"
-        })
-        clone.timings = dict(self.timings)
-        return clone
-
     def to_dict(self) -> dict:
-        data = {
-            key: value for key, value in self.__dict__.items()
-            if key != "timings"
-        }
+        data = super().to_dict()
         data["timings"] = {
             phase: round(seconds, 6)
             for phase, seconds in sorted(self.timings.items())
@@ -570,7 +563,6 @@ class AnalysisEngine:
             self.commutativity,
             self.termination_analyzer,
             engine=self,
-            _internal=True,
         )
         analysis = analyzer.analyze(tables)
         self.stats.add_time("partial_confluence", time.perf_counter() - start)
@@ -585,7 +577,6 @@ class AnalysisEngine:
             priorities=self.ruleset.priorities,
             termination_analyzer=self.termination_analyzer,
             engine=self,
-            _internal=True,
         )
         analysis = analyzer.analyze()
         self.stats.add_time("observable", time.perf_counter() - start)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis._deprecation import warn_direct_construction
 from repro.analysis.commutativity import CommutativityAnalyzer
 from repro.analysis.confluence import ConfluenceAnalysis, ConfluenceAnalyzer
 from repro.analysis.derived import OBS_TABLE, ObsExtendedDefinitions
@@ -81,14 +80,12 @@ class ObservableDeterminismAnalyzer:
     stays noncommutative unless both obligations are met by ordering,
     per Corollary 8.2).
 
-    .. deprecated::
-        Construct analyses through :class:`repro.RuleAnalyzer` (or an
-        :class:`~repro.analysis.engine.AnalysisEngine`) instead; this
-        stand-alone path re-judges every pair on every call. When an
-        *engine* is supplied, the extended definitions and commutativity
-        analyzer are the engine's shared Obs view (with certifications
-        already mirrored) and the confluence step over ``Sig(Obs)`` is
-        served from the engine's memoized pair verdicts.
+    Without an *engine* this is the memo-free reference path, which
+    re-judges every pair on every call. When an *engine* is supplied,
+    the extended definitions and commutativity analyzer are the
+    engine's shared Obs view (with certifications already mirrored) and
+    the confluence step over ``Sig(Obs)`` is served from the engine's
+    memoized pair verdicts.
     """
 
     def __init__(
@@ -99,10 +96,7 @@ class ObservableDeterminismAnalyzer:
         base_commutativity: CommutativityAnalyzer | None = None,
         *,
         engine=None,
-        _internal: bool = False,
     ) -> None:
-        if not _internal:
-            warn_direct_construction("ObservableDeterminismAnalyzer")
         self.ruleset = ruleset
         self.priorities = priorities or ruleset.priorities
         self.engine = engine
@@ -149,8 +143,7 @@ class ObservableDeterminismAnalyzer:
             )
         else:
             confluence = ConfluenceAnalyzer(
-                self.extended, self.priorities, self.commutativity,
-                _internal=True,
+                self.extended, self.priorities, self.commutativity
             ).analyze(universe=significant)
         return ObservableDeterminismAnalysis(
             observable_rules=observable,

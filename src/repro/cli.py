@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 
 from repro.analysis.analyzer import RuleAnalyzer
 from repro.config import ExecutionConfig
@@ -41,8 +42,9 @@ from repro.engine.database import Database
 from repro.errors import ReproError
 from repro.lang.parser import Parser
 from repro.rules.ruleset import RuleSet
-from repro.runtime.exec_graph import explore
-from repro.runtime.processor import RuleProcessor
+from repro.runtime import parallel
+from repro.runtime.exec_graph import ExecutionGraph, explore
+from repro.runtime.processor import ProcessingResult, RuleProcessor
 from repro.runtime.trace import render_trace, trace_run
 from repro.schema.catalog import Schema, schema_from_spec
 from repro.stats import render_stats
@@ -281,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
         payload = report.to_dict()
         if args.run:
             try:
-                payload.update(_run_json(ruleset, schema, args, profile))
+                run = _execute_run(ruleset, schema, args, profile, trace=False)
+                payload.update(_run_sections(run))
             except ReproError as error:
                 print(f"error: {error}", file=sys.stderr)
                 return 2
@@ -369,10 +372,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.run and not args.json:
         try:
-            _run_and_trace(ruleset, schema, args, profile)
+            run = _execute_run(ruleset, schema, args, profile, trace=True)
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
+        _print_run(run)
 
     # After --run, so execution-side counters (planner, rete) reflect
     # the run they describe rather than the pre-run state.
@@ -390,74 +394,75 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if all_good else 1
 
 
-def _execution_config(args) -> tuple[ExecutionConfig, str | None]:
-    """The run's ExecutionConfig (and the WAL path, when durable)."""
-    durable = getattr(args, "durable", None)
-    matching = getattr(args, "matching", "planned")
-    return (
-        ExecutionConfig(
-            matching=matching,
-            planner=matching != "naive",
-            durable=durable is not None,
-            wal=durable,
-            profile=bool(getattr(args, "profile", False)),
-            scheduler=getattr(args, "scheduler", "serial"),
-            partitions=getattr(args, "partitions", 1),
-        ),
-        durable,
-    )
+@dataclass
+class RunResult:
+    """What one ``--run`` produced; :func:`_print_run` renders it as
+    text and :func:`_run_sections` as JSON."""
+
+    processor: RuleProcessor
+    result: ProcessingResult
+    #: the per-step trace, or None when the run was not traced
+    events: list | None
+    final_tables: dict[str, list[tuple]]
+    #: process-global executor counters as the run left them, before
+    #: any exploration adds to them
+    planner_stats: dict
+    rete_stats: dict
+    scheduler_stats: dict | None
+    #: the WAL summary of a durable run, else None
+    wal: dict | None
+    #: the execution graph and the processor it explored (--explore)
+    graph: ExecutionGraph | None = None
+    explored: RuleProcessor | None = None
 
 
-def _run_json(
-    ruleset: RuleSet, schema: Schema, args, profile: dict | None = None
-) -> dict:
-    """Execute --run (and --explore) for machine-readable output.
-
-    Returns an ``execution`` section (outcome, steps, final tables,
-    processor substrate counters) and, with ``--explore``, an
-    ``exploration`` section (``ExecutionGraph.stats()``) — so that the
-    runtime's observability lands in the same JSON surface as the
-    analysis engine's counters.
-    """
+def _execute_run(
+    ruleset: RuleSet, schema: Schema, args, profile: dict, *, trace: bool
+) -> RunResult:
+    """Load → configure → execute ``--run`` → process rules → finish the
+    durable run → explore (with ``--explore``)."""
     database = (
         load_data(args.data, schema) if args.data else Database(schema)
     )
-
-    config, durable = _execution_config(args)
+    config = ExecutionConfig(
+        matching=args.matching,
+        durable=args.durable is not None,
+        wal=args.durable,
+        scheduler=args.scheduler,
+        partitions=args.partitions,
+    )
     processor = RuleProcessor(ruleset, database.copy(), config=config)
     started = time.perf_counter()
     for statement in args.run:
         processor.execute_user(statement)
-    result = processor.run()
-    wal_section = _finish_durable(processor, durable)
-    if profile is not None:
-        profile["execution"] = time.perf_counter() - started
-        profile["triggering"] = processor.stats.trigger_seconds
+    # The step trace narrates one serial choice sequence; a batch round
+    # has no single such sequence, so parallel runs report outcomes and
+    # stats without the per-step narration.
+    if trace and config.scheduler == "serial":
+        result, events = trace_run(processor)
+    else:
+        result, events = processor.run(), None
+    wal = _finish_durable(processor)
+    profile["execution"] = time.perf_counter() - started
+    profile["triggering"] = processor.stats.trigger_seconds
 
-    sections: dict = {
-        "execution": {
-            "outcome": result.outcome,
-            "steps": len(result.steps),
-            "rules_considered": result.rules_considered,
-            "observables": [str(action) for action in result.observables],
-            "final_tables": {
-                table.name: processor.database.table(
-                    table.name
-                ).value_tuples()
-                for table in schema
-            },
-            "stats": processor.stats.to_dict(),
-            "planner_stats": plan.STATS.to_dict(),
-            "rete_stats": rete.STATS.to_dict(),
-        }
-    }
-    if config.scheduler == "parallel":
-        from repro.runtime import parallel
-
-        sections["execution"]["scheduler_stats"] = parallel.STATS.to_dict()
-    if wal_section is not None:
-        sections["execution"]["wal"] = wal_section
-
+    run = RunResult(
+        processor=processor,
+        result=result,
+        events=events,
+        final_tables={
+            table.name: processor.database.table(table.name).value_tuples()
+            for table in schema
+        },
+        planner_stats=plan.STATS.to_dict(),
+        rete_stats=rete.STATS.to_dict(),
+        scheduler_stats=(
+            parallel.STATS.to_dict()
+            if config.scheduler == "parallel"
+            else None
+        ),
+        wal=wal,
+    )
     if args.explore:
         fresh = RuleProcessor(
             ruleset,
@@ -467,91 +472,86 @@ def _run_json(
         for statement in args.run:
             fresh.execute_user(statement)
         started = time.perf_counter()
-        graph = explore(fresh)
-        if profile is not None:
-            profile["exploration"] = time.perf_counter() - started
-        sections["exploration"] = graph.stats()
-        sections["exploration"]["substrate_stats"] = fresh.stats.to_dict()
-    return sections
+        run.graph = explore(fresh)
+        profile["exploration"] = time.perf_counter() - started
+        run.explored = fresh
+    return run
 
 
-def _finish_durable(processor: RuleProcessor, durable: str | None):
+def _finish_durable(processor: RuleProcessor) -> dict | None:
     """Commit (or abort-close) the durable run; return the WAL summary.
 
     A rolled-back transaction already wrote its abort marker — closing
     without a commit leaves recovery at the previous durable state,
     which is exactly the rollback semantics.
     """
-    if durable is None:
+    if processor.wal is None:
         return None
     stats = processor.wal.stats
     frames = None if processor.rolled_back else processor.commit()
     processor.close()
     return {
-        "path": durable,
+        "path": processor.config.wal,
         "committed": frames is not None,
         "frames": frames if frames is not None else stats.frames_emitted,
         **stats.to_dict(),
     }
 
 
-def _run_and_trace(
-    ruleset: RuleSet, schema: Schema, args, profile: dict | None = None
-) -> None:
-    database = (
-        load_data(args.data, schema) if args.data else Database(schema)
-    )
+def _run_sections(run: RunResult) -> dict:
+    """The JSON rendering of a run: an ``execution`` section (outcome,
+    steps, final tables, processor substrate counters) and, with
+    ``--explore``, an ``exploration`` section
+    (``ExecutionGraph.stats()``) — so the runtime's observability lands
+    in the same JSON surface as the analysis engine's counters."""
+    execution = {
+        "outcome": run.result.outcome,
+        "steps": len(run.result.steps),
+        "rules_considered": run.result.rules_considered,
+        "observables": [str(action) for action in run.result.observables],
+        "final_tables": run.final_tables,
+        "stats": run.processor.stats.to_dict(),
+        "planner_stats": run.planner_stats,
+        "rete_stats": run.rete_stats,
+    }
+    if run.scheduler_stats is not None:
+        execution["scheduler_stats"] = run.scheduler_stats
+    if run.wal is not None:
+        execution["wal"] = run.wal
+    sections: dict = {"execution": execution}
+    if run.graph is not None:
+        sections["exploration"] = {
+            **run.graph.stats(),
+            "substrate_stats": run.explored.stats.to_dict(),
+        }
+    return sections
 
-    config, durable = _execution_config(args)
-    processor = RuleProcessor(ruleset, database.copy(), config=config)
-    started = time.perf_counter()
-    for statement in args.run:
-        processor.execute_user(statement)
-    if config.scheduler == "parallel":
-        # The step trace narrates one serial choice sequence; a batch
-        # round has no single such sequence, so parallel runs report
-        # outcomes and stats without the per-step narration.
-        result, events = processor.run(), None
-    else:
-        result, events = trace_run(processor)
-    wal_section = _finish_durable(processor, durable)
-    if profile is not None:
-        profile["execution"] = time.perf_counter() - started
-        profile["triggering"] = processor.stats.trigger_seconds
 
+def _print_run(run: RunResult) -> None:
+    """The text rendering of a run: trace, final state, durability and
+    exploration summaries."""
     print("\n== rule processing trace ==")
-    if events is None:
+    if run.events is None:
         print("(per-step trace unavailable under --scheduler parallel)")
     else:
-        print(render_trace(events))
-    print(f"outcome: {result.outcome} after {len(result.steps)} steps")
+        print(render_trace(run.events))
+    print(f"outcome: {run.result.outcome} after {len(run.result.steps)} steps")
     print("final state:")
-    for table in schema:
-        rows = processor.database.table(table.name).value_tuples()
-        print(f"  {table.name}: {rows}")
-    if wal_section is not None:
+    for name, rows in run.final_tables.items():
+        print(f"  {name}: {rows}")
+    if run.wal is not None:
         print("\n== durability ==")
-        state = "committed" if wal_section["committed"] else "aborted"
-        print(f"WAL {wal_section['path']}: {state}")
+        state = "committed" if run.wal["committed"] else "aborted"
+        print(f"WAL {run.wal['path']}: {state}")
         print(
-            f"frames: {wal_section['frames']}  "
-            f"primitives: {wal_section['primitives_logged']}  "
-            f"bytes: {wal_section['bytes_written']}  "
-            f"fsyncs: {wal_section['syncs']}"
+            f"frames: {run.wal['frames']}  "
+            f"primitives: {run.wal['primitives_logged']}  "
+            f"bytes: {run.wal['bytes_written']}  "
+            f"fsyncs: {run.wal['syncs']}"
         )
 
-    if args.explore:
-        fresh = RuleProcessor(
-            ruleset,
-            database.copy(),
-            config=config.with_options(durable=False, wal=None),
-        )
-        for statement in args.run:
-            fresh.execute_user(statement)
-        started = time.perf_counter()
-        graph = explore(fresh)
-        if profile is not None:
-            profile["exploration"] = time.perf_counter() - started
+    graph = run.graph
+    if graph is not None:
         print("\n== execution-graph exploration ==")
         print(f"states explored:     {graph.state_count}")
         print(f"states deduped:      {graph.states_deduped}")
@@ -580,8 +580,6 @@ def _print_stats(stats) -> None:
     }
     if rete.STATS.networks_compiled:
         sections["incremental match"] = rete.STATS.to_dict()
-    from repro.runtime import parallel
-
     if parallel.STATS.rounds:
         sections["parallel scheduler"] = parallel.STATS.to_dict()
     print(render_stats(sections))
@@ -594,8 +592,6 @@ def _profile_section(profile: dict) -> dict:
     section["plan"] = round(plan.STATS.plan_seconds, 6)
     if rete.STATS.networks_compiled:
         section["rete_advance"] = round(rete.STATS.advance_seconds, 6)
-    from repro.runtime import parallel
-
     if parallel.STATS.rounds:
         section["parallel_merge"] = round(parallel.STATS.merge_seconds, 6)
     return section

@@ -1,32 +1,25 @@
 """The unified execution configuration for runtime sessions.
 
-Execution options used to be scattered keyword arguments —
-``RuleProcessor(incremental=..., planner=..., durable=..., wal_path=...,
-wal=...)``, ``execute_select(..., planner=False)``, ``Evaluator(...,
-planner=False)`` — each surface naming its own subset.
-:class:`ExecutionConfig` is the single entry point: one frozen value
-object accepted (as ``config=``) by :class:`~repro.runtime.processor.RuleProcessor`,
+:class:`ExecutionConfig` is the one way to pass execution options: a
+frozen value object accepted (as ``config=``) by
+:class:`~repro.runtime.processor.RuleProcessor`,
 :class:`~repro.engine.expressions.Evaluator`,
 :func:`~repro.engine.query.execute_select`,
-:func:`~repro.engine.dml.execute_statement`, and the CLI. The legacy
-keywords keep working for one release behind a ``DeprecationWarning``
-(see :func:`repro.analysis._deprecation.warn_legacy_kwargs`).
+:func:`~repro.engine.dml.execute_statement`, and the CLI. Each field
+encodes one choice:
 
-Fields:
-
-* ``matching`` — how rule conditions are matched at consideration time:
-  ``"planned"`` (compiled predicates over the planned executor, the
-  default), ``"rete"`` (the incremental discrimination network of
-  :mod:`repro.engine.rete`, with planned fallback for unsupported
-  conditions), or ``"naive"`` (the tree-walking reference evaluator);
-* ``planner`` — route statement/subquery SELECTs through the planned
-  executor (:mod:`repro.engine.plan`) rather than the naive
-  cross-product reference path;
+* ``matching`` — how rule conditions are matched, and which executor
+  runs statements and subqueries: ``"planned"`` (compiled predicates
+  over the planned executor of :mod:`repro.engine.plan`, the default),
+  ``"rete"`` (the incremental discrimination network of
+  :mod:`repro.engine.rete` for conditions, with planned fallback for
+  unsupported ones, and the planned executor for statements), or
+  ``"naive"`` (the tree-walking reference evaluator and the naive
+  cross-product statement executor, all the way down);
 * ``incremental`` — the processor's incremental triggering substrate
   (cached net effects, touch index, COW snapshots);
 * ``durable`` — write-ahead logging; ``wal`` names the WAL (a path
   string) or supplies an open ``WalWriter``;
-* ``profile`` — collect per-phase wall-clock timings where supported;
 * ``scheduler`` — the rule-consideration loop: ``"serial"`` (one
   eligible rule per round, the default) or ``"parallel"`` (the
   commutativity-certified batch scheduler of
@@ -37,10 +30,6 @@ Fields:
   shards (:meth:`repro.engine.storage.TableData.shard`), enabling
   partition pruning and per-shard fan-out of condition/action scans;
   ``1`` (the default) keeps the flat layout.
-
-The legacy ``planner=False`` keyword historically selected the naive
-path for *both* condition matching and statement execution, so it maps
-to ``ExecutionConfig(matching="naive", planner=False)``.
 """
 
 from __future__ import annotations
@@ -53,22 +42,16 @@ MATCHING_MODES = ("rete", "planned", "naive")
 #: the rule-scheduling modes `ExecutionConfig.scheduler` accepts
 SCHEDULER_MODES = ("serial", "parallel")
 
-#: sentinel distinguishing "not passed" from every real value, so legacy
-#: keyword defaults do not trigger deprecation warnings
-_UNSET = object()
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
     """Immutable execution options for one runtime session."""
 
     matching: str = "planned"
-    planner: bool = True
     incremental: bool = True
     durable: bool = False
     #: WAL path (str) or an open WalWriter; implies ``durable`` when set
     wal: object = None
-    profile: bool = False
     scheduler: str = "serial"
     partitions: int = 1
 
@@ -114,7 +97,7 @@ class ServerOptions:
     """Concurrency options for a :class:`~repro.runtime.server.RuleServer`.
 
     Orthogonal to :class:`ExecutionConfig` (which still governs how each
-    session's own rule cascade executes — matching mode, planner,
+    session's own rule cascade executes — matching mode,
     scheduler, durability of the *server's* log):
 
     * ``isolation`` — what first-committer-wins validation checks:
@@ -179,66 +162,6 @@ class ServerOptions:
 DEFAULT_SERVER_OPTIONS = ServerOptions()
 
 
-def resolve_config(
-    config: ExecutionConfig | None,
-    api: str,
-    *,
-    incremental: object = _UNSET,
-    planner: object = _UNSET,
-    durable: object = _UNSET,
-    wal_path: object = _UNSET,
-    wal: object = _UNSET,
-) -> ExecutionConfig:
-    """Merge an explicit *config* with legacy keyword arguments.
-
-    Exactly one style may be used per call: passing both ``config=`` and
-    a legacy keyword raises ``ValueError`` (there is no sensible merge
-    order). Legacy keywords emit one ``DeprecationWarning`` naming the
-    replacement, then map onto a config:
-
-    * ``planner=False`` selects the naive path throughout, so it becomes
-      ``matching="naive", planner=False``;
-    * ``durable=True``/``wal_path=``/``wal=`` become ``durable``/``wal``.
-    """
-    legacy = {
-        name: value
-        for name, value in (
-            ("incremental", incremental),
-            ("planner", planner),
-            ("durable", durable),
-            ("wal_path", wal_path),
-            ("wal", wal),
-        )
-        if value is not _UNSET
-    }
-    if not legacy:
-        return config if config is not None else DEFAULT_CONFIG
-    if config is not None:
-        raise ValueError(
-            f"{api} accepts either config= or the legacy keyword(s) "
-            f"{', '.join(sorted(legacy))}, not both"
-        )
-
-    # Imported lazily: repro.analysis's package init pulls in the
-    # analysis stack, which itself imports the engine modules that call
-    # this resolver at their own import time.
-    from repro.analysis._deprecation import warn_legacy_kwargs
-
-    warn_legacy_kwargs(api, sorted(legacy))
-
-    changes: dict = {}
-    if "incremental" in legacy:
-        changes["incremental"] = bool(legacy["incremental"])
-    if "planner" in legacy:
-        use_planner = bool(legacy["planner"])
-        changes["planner"] = use_planner
-        changes["matching"] = "planned" if use_planner else "naive"
-    if legacy.get("durable"):
-        changes["durable"] = True
-    if legacy.get("wal_path") is not None:
-        changes["durable"] = True
-        changes["wal"] = legacy["wal_path"]
-    if legacy.get("wal") is not None:
-        changes["durable"] = True
-        changes["wal"] = legacy["wal"]
-    return replace(DEFAULT_CONFIG, **changes)
+def resolve_config(config: ExecutionConfig | None) -> ExecutionConfig:
+    """*config*, or :data:`DEFAULT_CONFIG` when none was passed."""
+    return config if config is not None else DEFAULT_CONFIG

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.config import _UNSET, ExecutionConfig, resolve_config
+from repro.config import ExecutionConfig, resolve_config
 from repro.engine import partition as PART
 from repro.engine import plan as P
 from repro.engine.database import Database
@@ -43,7 +43,6 @@ def execute_statement(
     stmt: ast.Statement,
     provider=None,
     log: DeltaLog | None = None,
-    planner: object = _UNSET,
     *,
     config: ExecutionConfig | None = None,
 ) -> StatementResult:
@@ -53,11 +52,10 @@ def execute_statement(
     *database*; pass an overlay provider to expose transition tables.
     A :class:`~repro.errors.RollbackSignal` propagates out of ROLLBACK.
     Execution options arrive as an
-    :class:`~repro.config.ExecutionConfig`: ``config.planner=False``
-    forces the naive reference executor throughout. The legacy
-    ``planner=`` keyword still works behind a ``DeprecationWarning``.
+    :class:`~repro.config.ExecutionConfig`: ``matching="naive"`` forces
+    the naive reference executor throughout.
     """
-    config = resolve_config(config, "execute_statement", planner=planner)
+    config = resolve_config(config)
     if provider is None:
         provider = DatabaseProvider(database)
 
@@ -87,12 +85,11 @@ def execute_script(
     statements: list[ast.Statement],
     provider=None,
     log: DeltaLog | None = None,
-    planner: object = _UNSET,
     *,
     config: ExecutionConfig | None = None,
 ) -> list[StatementResult]:
     """Execute statements in order, stopping on rollback (which re-raises)."""
-    config = resolve_config(config, "execute_script", planner=planner)
+    config = resolve_config(config)
     return [
         execute_statement(database, stmt, provider=provider, log=log, config=config)
         for stmt in statements
@@ -223,9 +220,10 @@ def _matching_tids(
         return [row.tid for row in database.rows(table)]
     columns = database.schema.table(table).column_names
     evaluator = Evaluator(provider, config=config)
-    predicate = P.compile_predicate(where) if config.planner else None
+    planned = config.matching != "naive"
+    predicate = P.compile_predicate(where) if planned else None
 
-    if config.partitions > 1 and config.planner:
+    if config.partitions > 1 and planned:
         pruned = _pruned_rows(database, table, binding, where, evaluator)
         if pruned is not None:
             rows, key_index, key_value, residual = pruned
@@ -335,9 +333,9 @@ def _execute_update(
     tids = _matching_tids(database, table, binding, stmt.where, provider, config)
 
     # Compute all new values against the pre-statement state first.
-    planner = config.planner
+    compile_values = config.matching != "naive"
     evaluator = Evaluator(provider, config=config)
-    if planner:
+    if compile_values:
         compiled = [
             (index, P.compile_predicate(value_expr))
             for index, value_expr in assignment_indexes
@@ -352,7 +350,7 @@ def _execute_update(
         if binding != table:
             context.bind(table, columns, old)
         new = list(old)
-        if planner:
+        if compile_values:
             for index, value in compiled:
                 new[index] = value(context, evaluator)
         else:

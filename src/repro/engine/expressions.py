@@ -9,7 +9,7 @@ expression ASTs, delegating subqueries back to
 
 from __future__ import annotations
 
-from repro.config import _UNSET, ExecutionConfig, resolve_config
+from repro.config import ExecutionConfig, resolve_config
 from repro.engine import values as V
 from repro.errors import EvaluationError, QueryError
 from repro.lang import ast
@@ -78,22 +78,16 @@ class Evaluator:
 
     ``provider`` must implement ``resolve(name) -> (columns, rows)``; it
     is only consulted when a subquery must be executed. The execution
-    options arrive as an :class:`~repro.config.ExecutionConfig` (the
-    ``config.planner`` field selects the execution path for subqueries,
-    so a naive-path query stays naive all the way down); the legacy
-    ``planner=`` keyword still works behind a ``DeprecationWarning``.
+    options arrive as an :class:`~repro.config.ExecutionConfig`, which
+    subqueries inherit, so a naive-path query stays naive all the way
+    down.
     """
 
     def __init__(
-        self,
-        provider,
-        planner: object = _UNSET,
-        *,
-        config: ExecutionConfig | None = None,
+        self, provider, *, config: ExecutionConfig | None = None
     ) -> None:
         self._provider = provider
-        self._config = resolve_config(config, "Evaluator", planner=planner)
-        self._planner = self._config.planner
+        self._config = resolve_config(config)
 
     def evaluate(self, expr: ast.Expression, context: RowContext):
         if isinstance(expr, ast.Literal):

@@ -15,8 +15,8 @@ hash-join builds without scanning.
 
 Execution is planned by default (see :mod:`repro.engine.plan`):
 pushed-down filters, order-preserving hash joins, and compiled
-predicates. ``execute_select(..., planner=False)`` keeps the original
-cross-product-over-full-scans path as the reference implementation; the
+predicates. ``execute_select(..., config=ExecutionConfig(matching="naive"))``
+keeps the original cross-product-over-full-scans path as the reference implementation; the
 two are required to produce byte-identical results, which the
 equivalence harness and the ``bench_query_engine`` gate enforce.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.config import _UNSET, ExecutionConfig, resolve_config
+from repro.config import ExecutionConfig, resolve_config
 from repro.engine import plan as P
 from repro.engine import values as V
 from repro.engine.database import Database
@@ -147,7 +147,6 @@ def execute_select(
     provider,
     select: ast.Select,
     outer_context: RowContext | None = None,
-    planner: object = _UNSET,
     *,
     config: ExecutionConfig | None = None,
 ) -> QueryResult:
@@ -155,13 +154,12 @@ def execute_select(
 
     ``outer_context`` carries the enclosing row bindings when this
     select is a correlated subquery. Execution options arrive as an
-    :class:`~repro.config.ExecutionConfig`: ``config.planner=False``
-    forces the naive cross-product reference path (both paths must
-    return byte-identical results). The legacy ``planner=`` keyword
-    still works behind a ``DeprecationWarning``.
+    :class:`~repro.config.ExecutionConfig`: ``matching="naive"`` forces
+    the naive cross-product reference path (both paths must return
+    byte-identical results).
     """
-    config = resolve_config(config, "execute_select", planner=planner)
-    planner = config.planner
+    config = resolve_config(config)
+    planned = config.matching != "naive"
     evaluator = Evaluator(provider, config=config)
 
     sources = []
@@ -175,7 +173,7 @@ def execute_select(
         sources.append((binding, columns, rows))
 
     plan = None
-    if planner:
+    if planned:
         matched, matched_rows, plan = P.execute_planned(
             provider, select, sources, outer_context, evaluator, config=config
         )

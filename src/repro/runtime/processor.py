@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.config import _UNSET, ExecutionConfig, resolve_config
+from repro.config import ExecutionConfig, resolve_config
 from repro.engine import plan as P
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement
@@ -163,11 +163,6 @@ class RuleProcessor:
         database: Database,
         strategy=None,
         max_steps: int = 10_000,
-        incremental: object = _UNSET,
-        planner: object = _UNSET,
-        durable: object = _UNSET,
-        wal_path: object = _UNSET,
-        wal: object = _UNSET,
         *,
         config: ExecutionConfig | None = None,
     ) -> None:
@@ -179,22 +174,9 @@ class RuleProcessor:
         self.database = database
         self.strategy = strategy or FirstEligibleStrategy()
         self.max_steps = max_steps
-        #: the session's execution options; the legacy keyword arguments
-        #: map onto it (with a DeprecationWarning) via resolve_config
-        self.config = resolve_config(
-            config,
-            "RuleProcessor",
-            incremental=incremental,
-            planner=planner,
-            durable=durable,
-            wal_path=wal_path,
-            wal=wal,
-        )
+        #: the session's execution options
+        self.config = resolve_config(config)
         self.incremental = self.config.incremental
-        #: route condition/action SELECTs through the planned executor
-        #: (plans and compiled predicates are cached per rule AST, so
-        #: every processor step and every explore() fork reuses them)
-        self.planner = self.config.planner
 
         self.log = DeltaLog()
         self.markers: dict[str, int] = {rule.name: 0 for rule in ruleset}
@@ -238,7 +220,8 @@ class RuleProcessor:
         if self.wal is None and self.config.wants_wal:
             if not isinstance(wal_setting, str):
                 raise RuleProcessingError(
-                    "durable mode needs wal_path (or a WalWriter via wal=)"
+                    "durable mode needs ExecutionConfig.wal: a WAL path "
+                    "or a WalWriter"
                 )
             from repro.engine.wal import WalWriter
 
@@ -656,7 +639,6 @@ class RuleProcessor:
         clone.max_steps = self.max_steps
         clone.config = self.config
         clone.incremental = self.incremental
-        clone.planner = self.planner
         clone.markers = dict(self.markers)
         clone.observables = list(self.observables)
         clone.stats = self.stats

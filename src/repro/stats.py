@@ -1,19 +1,21 @@
 """The common work-counter protocol for runtime subsystems.
 
-Three subsystems keep global or per-session work counters: the rule
-processor (:class:`~repro.runtime.processor.ProcessorStats`), the query
-planner (:class:`~repro.engine.plan.PlannerStats`), and the incremental
-match network (:class:`~repro.engine.rete.ReteStats`). They used to be
-three ad-hoc shapes — a dataclass, a ``__slots__`` class, and nothing —
-each with its own hand-written ``to_dict``; the CLI's ``--stats``,
-``--json`` and ``--profile`` surfaces special-cased every one.
+Every subsystem that keeps global or per-session work counters shares
+one shape, :class:`StatsBase`: the rule processor
+(:class:`~repro.runtime.processor.ProcessorStats`), the query planner
+(:class:`~repro.engine.plan.PlannerStats`), the incremental match
+network (:class:`~repro.engine.rete.ReteStats`), the parallel scheduler,
+the rule server, the WAL writer and its group-commit coalescer, and the
+analysis engine (:class:`~repro.analysis.engine.EngineStats`).
 
-:class:`StatsBase` is the shared shape: a counter class declares its
-field names (``FIELDS``, all numeric, in report order) and which fields
-are rounded floats (``SECONDS``); ``reset()``/``to_dict()`` come for
+A counter class declares its field names (``FIELDS``, all numeric, in
+report order) and which fields are rounded floats (``SECONDS``);
+``reset()``/``to_dict()``/``snapshot()``/``delta_since()`` come for
 free and every consumer — benchmark gates, the CLI, tests — can treat
-any stats object uniformly. :func:`render_stats` is the single
-plain-text renderer behind ``--stats``.
+any stats object uniformly. A dict-valued field (a histogram or a
+per-phase timing table) is initialised in an overridden ``reset()`` and
+appended in an overridden ``to_dict()``. :func:`render_stats` is the
+single plain-text renderer behind ``--stats``.
 """
 
 from __future__ import annotations

@@ -45,10 +45,10 @@ import time
 from dataclasses import dataclass, field
 
 from repro.config import ExecutionConfig
+from repro.engine import plan as plan_module
 from repro.engine import rete as rete_module
 from repro.engine.database import Database
 from repro.errors import RuleProcessingLimitExceeded
-from repro.lang.parser import parse_statement
 from repro.runtime import parallel as parallel_module
 from repro.runtime.exec_graph import explore
 from repro.runtime.processor import RuleProcessor
@@ -122,7 +122,8 @@ class ModeResult:
     status: str  # "quiescent" | "rolled_back" | "exhausted"
     final: tuple | None
     seconds: float
-    #: per-run counter deltas: "processor"/"rete"/"scheduler" (+"server")
+    #: per-run counter deltas: "processor"/"planner"/"rete"/"scheduler"
+    #: (+"server")
     stats: dict = field(default_factory=dict)
     #: durable modes: does Database.recover(wal) equal the live final?
     recovered_matches: bool | None = None
@@ -210,6 +211,7 @@ def _run_mode(
     matching, scheduler, persistence = ALL_MODES[mode]
     database = case.database.copy()
     config = ExecutionConfig(matching=matching, scheduler=scheduler)
+    before_plan = plan_module.STATS.snapshot()
     before_rete = rete_module.STATS.snapshot()
     before_sched = parallel_module.STATS.snapshot()
     started = time.perf_counter()
@@ -256,6 +258,7 @@ def _run_mode(
             recovered_matches = recovered.canonical() == final
 
     seconds = time.perf_counter() - started
+    stats["planner"] = plan_module.STATS.delta_since(before_plan)
     stats["rete"] = rete_module.STATS.delta_since(before_rete)
     stats["scheduler"] = parallel_module.STATS.delta_since(before_sched)
     return ModeResult(

@@ -20,6 +20,7 @@ import pytest
 
 from tests.seeding import derive_seed
 
+from repro.config import ExecutionConfig
 from repro.engine import plan
 from repro.engine.database import Database
 from repro.engine.query import (
@@ -29,6 +30,9 @@ from repro.engine.query import (
 )
 from repro.lang.parser import parse_statement
 from repro.schema.catalog import schema_from_spec
+
+#: the naive cross-product reference executor
+NAIVE = ExecutionConfig(matching="naive")
 
 
 def _random_instance(rng, tables, rows_per_table=12, null_rate=0.2):
@@ -95,8 +99,8 @@ def _random_predicate(rng, bindings, depth=0):
 
 def _assert_equivalent(provider, text):
     select = parse_statement(text)
-    naive = execute_select(provider, select, planner=False)
-    planned = execute_select(provider, select, planner=True)
+    naive = execute_select(provider, select, config=NAIVE)
+    planned = execute_select(provider, select)
     assert naive.columns == planned.columns, text
     assert naive.rows == planned.rows, text
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.query import (
     DatabaseProvider,
@@ -212,11 +213,13 @@ class TestQueryResultImmutability:
             "select distinct dept from emp",
             "select id from emp where dept = 10",
         ):
-            for planner in (False, True):
+            for matching in ("naive", "planned"):
                 result = execute_select(
-                    provider, parse_statement(source), planner=planner
+                    provider,
+                    parse_statement(source),
+                    config=ExecutionConfig(matching=matching),
                 )
-                assert isinstance(result.rows, tuple), (source, planner)
+                assert isinstance(result.rows, tuple), (source, matching)
 
     def test_subquery_sees_immutable_rows(self, provider):
         result = run(

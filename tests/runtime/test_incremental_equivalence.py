@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.errors import RuleProcessingLimitExceeded
 from repro.runtime.exec_graph import explore
@@ -74,7 +75,7 @@ def both_ways(ruleset, database, statements, seed, max_steps=40):
             ruleset,
             database.copy(),
             strategy=RandomStrategy(seed),
-            incremental=incremental,
+            config=ExecutionConfig(incremental=incremental),
         )
         records.append(drive(processor, statements, max_steps=max_steps))
     return records
@@ -119,7 +120,7 @@ class TestRandomizedEquivalence:
                 database.copy(),
                 strategy=RandomStrategy(site),
                 max_steps=40,
-                incremental=incremental,
+                config=ExecutionConfig(incremental=incremental),
             )
             outcome = {"keys": []}
             try:
@@ -163,7 +164,9 @@ class TestRollbackEquivalence:
         records = []
         for incremental in (False, True):
             processor = RuleProcessor(
-                ruleset, Database(schema), incremental=incremental
+                ruleset,
+                Database(schema),
+                config=ExecutionConfig(incremental=incremental),
             )
             keys = []
             # First transaction: triggers the rollback path.
@@ -211,7 +214,9 @@ class TestExplorationEquivalence:
             database = Database(schema)
             database.load("stock", [(0, 0), (1, 5)])
             processor = RuleProcessor(
-                ruleset, database, incremental=incremental
+                ruleset,
+                database,
+                config=ExecutionConfig(incremental=incremental),
             )
             processor.execute_user("insert into orders values (1, 0)")
             graphs.append(explore(processor))

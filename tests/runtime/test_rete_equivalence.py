@@ -39,7 +39,7 @@ MODES = ("naive", "planned", "rete")
 
 
 def config_for(matching: str) -> ExecutionConfig:
-    return ExecutionConfig(matching=matching, planner=matching != "naive")
+    return ExecutionConfig(matching=matching)
 
 
 def drive(processor: RuleProcessor, statements, max_steps: int = 40) -> dict:

@@ -1,12 +1,9 @@
-"""The unified ExecutionConfig session API and its legacy-kwarg bridge.
+"""The unified ExecutionConfig session API.
 
-One frozen value object carries every execution option; the scattered
-keyword arguments it replaced (``planner=``, ``incremental=``,
-``durable=``, ``wal_path=``, ``wal=``) keep working for one release
-behind a ``DeprecationWarning``. These tests pin the config's defaults
-and validation, the exact legacy-to-config mapping (``planner=False``
-historically meant the naive path *throughout*, so it selects
-``matching="naive"`` too), the mutual-exclusion rule, and the CLI's
+One frozen value object carries every execution option and is the only
+way to pass them (``config=``). These tests pin the config's defaults
+and validation, the naive reference path that ``matching="naive"``
+selects for conditions, statements and subqueries alike, and the CLI's
 ``--matching`` surface.
 """
 
@@ -18,9 +15,10 @@ import pytest
 
 from repro import DEFAULT_CONFIG, ExecutionConfig
 from repro.config import resolve_config
+from repro.engine import plan
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement
-from repro.engine.expressions import Evaluator
+from repro.engine.expressions import Evaluator, RowContext
 from repro.engine.query import DatabaseProvider, execute_select
 from repro.lang.parser import parse_expression, parse_statement
 from repro.rules.ruleset import RuleSet
@@ -49,11 +47,9 @@ class TestConfigValue:
     def test_defaults(self):
         config = ExecutionConfig()
         assert config.matching == "planned"
-        assert config.planner is True
         assert config.incremental is True
         assert config.durable is False
         assert config.wal is None
-        assert config.profile is False
         assert config == DEFAULT_CONFIG
 
     def test_rejects_unknown_matching_mode(self):
@@ -67,7 +63,7 @@ class TestConfigValue:
     def test_with_options(self):
         config = ExecutionConfig().with_options(matching="rete")
         assert config.matching == "rete"
-        assert config.planner is True
+        assert config.incremental is True
 
     def test_wants_wal(self):
         assert not ExecutionConfig().wants_wal
@@ -77,99 +73,64 @@ class TestConfigValue:
 
 class TestResolveConfig:
     def test_no_arguments_yields_default(self):
-        assert resolve_config(None, "api") is DEFAULT_CONFIG
+        assert resolve_config(None) is DEFAULT_CONFIG
 
     def test_explicit_config_passes_through(self):
-        config = ExecutionConfig(matching="naive", planner=False)
-        assert resolve_config(config, "api") is config
-
-    def test_planner_false_selects_naive_throughout(self):
-        with pytest.deprecated_call():
-            config = resolve_config(None, "api", planner=False)
-        assert config.matching == "naive"
-        assert config.planner is False
-
-    def test_wal_path_implies_durable(self):
-        with pytest.deprecated_call():
-            config = resolve_config(None, "api", wal_path="x.wal")
-        assert config.durable is True
-        assert config.wal == "x.wal"
-
-    def test_config_plus_legacy_is_an_error(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_config(ExecutionConfig(), "api", planner=False)
-
-    def test_warning_names_the_api_and_keywords(self):
-        with pytest.warns(DeprecationWarning, match="RuleProcessor"):
-            resolve_config(None, "RuleProcessor", incremental=False)
+        config = ExecutionConfig(matching="naive")
+        assert resolve_config(config) is config
 
 
-class TestLegacyKeywordsStillWork:
-    def test_rule_processor_legacy_kwargs(self, ruleset, schema):
-        with pytest.deprecated_call():
-            processor = RuleProcessor(
-                ruleset, Database(schema), incremental=False, planner=False
-            )
+class TestNaiveMatching:
+    """``matching="naive"`` selects the naive reference path everywhere."""
+
+    NAIVE = ExecutionConfig(matching="naive", incremental=False)
+
+    def test_rule_processor(self, ruleset, schema):
+        processor = RuleProcessor(ruleset, Database(schema), config=self.NAIVE)
         assert processor.incremental is False
-        assert processor.planner is False
         assert processor.config.matching == "naive"
+        processor.execute_user("insert into t values (1, 9)")
+        processor.run()
+        assert processor.database.table("t").value_tuples() == []
 
-    def test_rule_processor_config_and_legacy_conflict(self, ruleset, schema):
-        with pytest.raises(ValueError, match="not both"):
-            RuleProcessor(
-                ruleset,
-                Database(schema),
-                planner=False,
-                config=ExecutionConfig(),
-            )
-
-    def test_evaluator_legacy_planner(self, schema):
+    def test_evaluator(self, schema):
         database = Database(schema)
         database.load("t", [(1, 9)])
         provider = DatabaseProvider(database)
         expr = parse_expression("exists (select * from t where v > 5)")
-        with pytest.deprecated_call():
-            evaluator = Evaluator(provider, planner=False)
-        from repro.engine.expressions import RowContext
-
+        evaluator = Evaluator(provider, config=self.NAIVE)
         assert evaluator.evaluate(expr, RowContext()) is True
 
-    def test_execute_select_legacy_planner(self, schema):
+    def test_execute_select(self, schema):
         database = Database(schema)
         database.load("t", [(1, 9), (2, 1)])
         provider = DatabaseProvider(database)
         select = parse_statement("select * from t where v > 5")
-        with pytest.deprecated_call():
-            result = execute_select(provider, select, planner=False)
+        result = execute_select(provider, select, config=self.NAIVE)
         assert result.rows == ((1, 9),)
 
-    def test_execute_statement_legacy_planner(self, schema):
+    def test_execute_statement(self, schema):
+        """The statement and its subquery both run on the naive
+        executor, so the planner's counters do not move."""
         database = Database(schema)
         database.load("t", [(1, 9), (2, 1)])
-        with pytest.deprecated_call():
-            execute_statement(
-                database,
-                parse_statement("delete from t where v > 5"),
-                planner=False,
-            )
+        before = plan.STATS.snapshot()
+        execute_statement(
+            database,
+            parse_statement(
+                "delete from t where id in (select id from t where v > 5)"
+            ),
+            config=self.NAIVE,
+        )
+        delta = plan.STATS.delta_since(before)
+        for counter in (
+            "plans_built",
+            "plan_cache_hits",
+            "predicates_compiled",
+            "predicate_cache_hits",
+        ):
+            assert delta[counter] == 0, counter
         assert database.table("t").value_tuples() == [(2, 1)]
-
-    def test_config_style_emits_no_warning(self, ruleset, schema):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            RuleProcessor(
-                ruleset,
-                Database(schema),
-                config=ExecutionConfig(matching="rete"),
-            )
-            database = Database(schema)
-            execute_statement(
-                database,
-                parse_statement("insert into t values (1, 2)"),
-                config=ExecutionConfig(),
-            )
 
 
 class TestCliMatching:

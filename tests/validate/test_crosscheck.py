@@ -184,6 +184,27 @@ class TestStatsSurface:
             f"parallel mode ran but SchedulerStats is zero: {scheduler}"
         )
 
+    def test_naive_mode_runs_the_naive_statement_executor(self):
+        """``matching="naive"`` selects the naive executor for action
+        statements and their subqueries too, so a naive leg never builds
+        or reuses a plan or a compiled predicate."""
+        report = crosscheck_case(
+            build_case("powernet"),
+            ("naive-serial-memory", "planned-serial-memory"),
+        )
+        assert report.passed
+        naive, planned = (mode.stats["planner"] for mode in report.modes)
+        counters = (
+            "plans_built",
+            "plan_cache_hits",
+            "predicates_compiled",
+            "predicate_cache_hits",
+        )
+        assert {name: naive[name] for name in counters} == dict.fromkeys(
+            counters, 0
+        )
+        assert any(planned[name] for name in counters)
+
     def test_serial_planned_mode_attributes_nothing_to_rete_or_parallel(self):
         """Deltas isolate each run from the global singletons' history:
         pollute both singletons first, then check a serial planned run
