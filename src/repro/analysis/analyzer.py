@@ -327,10 +327,9 @@ class RuleAnalyzer:
     "actually commute" examples are then discharged without user
     certification — see
     :class:`~repro.analysis.commutativity.CommutativityAnalyzer`).
-    ``parallel``/``parallel_threshold`` control the engine's chunked
-    thread fan-out for raw pair judging (``None`` = automatic above the
-    threshold). An existing :class:`AnalysisEngine` can be supplied to
-    share memo state (used by :meth:`analyze_restricted`).
+    Pairs are judged lazily on the calling thread; no option starts a
+    thread. An existing :class:`AnalysisEngine` can be supplied to share
+    memo state (used by :meth:`analyze_restricted`).
     """
 
     def __init__(
@@ -340,8 +339,6 @@ class RuleAnalyzer:
         refine: bool = False,
         granularity: str = "column",
         column_dataflow: bool = False,
-        parallel: bool | None = None,
-        parallel_threshold: int = 48,
         engine: AnalysisEngine | None = None,
     ) -> None:
         if engine is None:
@@ -350,8 +347,6 @@ class RuleAnalyzer:
                 refine=refine,
                 granularity=granularity,
                 column_dataflow=column_dataflow,
-                parallel=parallel,
-                parallel_threshold=parallel_threshold,
             )
         self.engine = engine
         self.refine = engine.refine

@@ -172,8 +172,7 @@ class CommutativityAnalyzer:
         are *not* applied here — this reports the raw syntactic analysis.
 
         The memoized tuple is always oriented to the sorted pair, so the
-        result is independent of which direction asked first (and of the
-        serial/parallel judging path).
+        result is independent of which direction asked first.
         """
         first = first.lower()
         second = second.lower()
@@ -194,29 +193,14 @@ class CommutativityAnalyzer:
         self, first: str, second: str
     ) -> tuple[NoncommutativityReason, ...]:
         """The raw Lemma 6.1 judgment, bypassing (and not touching) the
-        memo — safe to call from parallel workers; everything it reads
-        (definitions, rule ASTs, schema) is immutable."""
+        memo; everything it reads (definitions, rule ASTs, schema) is
+        immutable."""
         first = first.lower()
         second = second.lower()
         return tuple(
             list(self._directed_reasons(first, second))
             + list(self._directed_reasons(second, first))
         )
-
-    def is_cached(self, first: str, second: str) -> bool:
-        return frozenset({first.lower(), second.lower()}) in self._cache
-
-    def store_reasons(
-        self,
-        first: str,
-        second: str,
-        reasons: tuple[NoncommutativityReason, ...],
-    ) -> None:
-        """Install a judgment computed out-of-band (e.g. by a parallel
-        worker) into the memo, counting it as one judgment."""
-        self._cache[frozenset({first.lower(), second.lower()})] = reasons
-        if self._stats is not None:
-            self._stats.lemma_judgments += 1
 
     def invalidate_rules(self, names) -> int:
         """Drop every memoized judgment touching *names* (rule edits);
@@ -550,14 +534,6 @@ def _reads_only_via_closed_wheres(rule, table: str) -> bool:
     return True
 
 
-def _where_conjuncts(expr: ast.Expression):
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        yield from _where_conjuncts(expr.left)
-        yield from _where_conjuncts(expr.right)
-    else:
-        yield expr
-
-
 def _update_discriminators(
     rule, table: str, columns: tuple[str, ...]
 ) -> dict[str, set] | None:
@@ -585,7 +561,7 @@ def _update_discriminators(
             return None
         assigned = {a.column.lower() for a in action.assignments}
         equalities: dict[str, set] = {}
-        for conjunct in _where_conjuncts(action.where):
+        for conjunct in ast.split_conjuncts(action.where):
             if not (
                 isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="
             ):

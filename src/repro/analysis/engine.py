@@ -34,13 +34,10 @@ pairs from scratch on every round is the dominant cost.
     memos of pairs involving it. Adding or removing rules clears the
     pair memo wholesale (any rule may join a fixpoint).
 
-* **Parallel fan-out** — on rule sets above ``parallel_threshold`` the
-  engine pre-judges the O(n²) raw Lemma 6.1 pairs in chunked batches on
-  a thread pool. Workers call the pure
-  :meth:`~repro.analysis.commutativity.CommutativityAnalyzer.compute_reasons`
-  (reads only immutable definitions/ASTs); results are installed into
-  the memo from the coordinating thread in sorted order, so the
-  parallel path is byte-identical to the serial one.
+* **One judging path** — raw Lemma 6.1 pairs are judged lazily, on
+  the calling thread, the first time a Definition 6.5 verdict consults
+  them. The judgments are pure Python, so a thread pool would only
+  interleave them under the GIL; there is no separate warm-up pass.
 
 The engine also keeps :class:`EngineStats` — pairs judged, memo hits,
 invalidations, fixpoint iterations, per-phase wall-clock — surfaced
@@ -49,15 +46,10 @@ through ``AnalysisReport.stats`` and ``starburst-analyze --stats``.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
-from repro.analysis.commutativity import (
-    CommutativityAnalyzer,
-    NoncommutativityReason,
-)
+from repro.analysis.commutativity import CommutativityAnalyzer
 from repro.analysis.confluence import (
     ConfluenceAnalysis,
     PairJudgment,
@@ -96,7 +88,6 @@ class EngineStats(StatsBase):
         "lemma_memo_hits",
         "invalidations",
         "fixpoint_iterations",
-        "parallel_batches",
         "confluence_passes",
     )
 
@@ -163,9 +154,6 @@ class AnalysisEngine:
         refine: bool = False,
         granularity: str = "column",
         column_dataflow: bool = False,
-        parallel: bool | None = None,
-        parallel_threshold: int = 48,
-        max_workers: int | None = None,
         memoize: bool = True,
         stats: EngineStats | None = None,
         reason_stores: dict[str, dict] | None = None,
@@ -174,9 +162,6 @@ class AnalysisEngine:
         self.refine = refine
         self.granularity = granularity
         self.column_dataflow = column_dataflow
-        self.parallel = parallel
-        self.parallel_threshold = parallel_threshold
-        self.max_workers = max_workers or min(8, (os.cpu_count() or 2))
         self.memoize = memoize
         self.stats = stats if stats is not None else EngineStats()
         #: raw Lemma 6.1 memo dicts per view; shared with restricted
@@ -469,9 +454,6 @@ class AnalysisEngine:
             refine=self.refine,
             granularity=self.granularity,
             column_dataflow=self.column_dataflow,
-            parallel=self.parallel,
-            parallel_threshold=self.parallel_threshold,
-            max_workers=self.max_workers,
             memoize=self.memoize,
             stats=self.stats,
             reason_stores=self._reason_stores,
@@ -512,9 +494,6 @@ class AnalysisEngine:
         names = sorted(universe)
         universe = frozenset(names)  # one shared object: its hash caches
         priorities = self.ruleset.priorities
-
-        if self._should_parallelize(len(names)):
-            self._warm_reasons_parallel(v, names)
 
         violations = []
         pairs_examined = 0
@@ -627,54 +606,3 @@ class AnalysisEngine:
         self._pruning_counts = counts
         self.stats.add_time("pair_pruning", time.perf_counter() - start)
         return dict(counts)
-
-    # ------------------------------------------------------------------
-    # Parallel fan-out
-    # ------------------------------------------------------------------
-
-    def _should_parallelize(self, n_rules: int) -> bool:
-        if self.parallel is False:
-            return False
-        if self.parallel is True:
-            return n_rules >= 2
-        return n_rules >= self.parallel_threshold
-
-    def _warm_reasons_parallel(self, view: _View, names: list[str]) -> None:
-        """Pre-judge every raw Lemma 6.1 pair over *names* in chunked
-        batches on a thread pool, then install results deterministically.
-
-        Workers only call the pure ``compute_reasons`` (no shared-state
-        writes); the coordinating thread stores results in sorted pair
-        order, so the memo contents — and everything derived from them —
-        are byte-identical to the serial path.
-        """
-        pending = [
-            (first, second)
-            for i, first in enumerate(names)
-            for second in names[i + 1 :]
-            if not view.commutativity.is_cached(first, second)
-        ]
-        if len(pending) < 2:
-            return
-        chunk_size = max(1, len(pending) // (self.max_workers * 4))
-        chunks = [
-            pending[i : i + chunk_size]
-            for i in range(0, len(pending), chunk_size)
-        ]
-
-        def judge_chunk(
-            chunk: list[tuple[str, str]],
-        ) -> list[tuple[str, str, tuple[NoncommutativityReason, ...]]]:
-            return [
-                (first, second, view.commutativity.compute_reasons(first, second))
-                for first, second in chunk
-            ]
-
-        start = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            results = list(pool.map(judge_chunk, chunks))
-        for chunk_result in results:
-            for first, second, reasons in chunk_result:
-                view.commutativity.store_reasons(first, second, reasons)
-        self.stats.parallel_batches += len(chunks)
-        self.stats.add_time("parallel_warm", time.perf_counter() - start)

@@ -436,14 +436,6 @@ def _drift_of_assignment(
     return (table, column, -step)
 
 
-def _conjuncts(expr):
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
-
-
 def _bounds_column(
     where, table: str, column: str, direction: int
 ) -> bool:
@@ -463,7 +455,7 @@ def _bounds_column(
             and (expr.table is None or expr.table.lower() == table)
         )
 
-    for conjunct in _conjuncts(where):
+    for conjunct in ast.split_conjuncts(where):
         if not isinstance(conjunct, ast.BinaryOp):
             continue
         if conjunct.op in wanted_ops and is_column(conjunct.left) and (

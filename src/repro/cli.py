@@ -224,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --run: rule scheduling — 'serial' (one rule per "
         "round, the default) or 'parallel' (rules with a static "
         "partition or Definition 6.5 commutativity certificate run "
-        "concurrently on copy-on-write forks; pairs without a proof "
-        "serialize)",
+        "as one batch round on copy-on-write forks; pairs without a "
+        "proof serialize)",
     )
     parser.add_argument(
         "--partitions",
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="P",
         help="with --run: hash-partition tables with declared partition "
-        "keys into P shards (enables partition-pruned and fanned-out "
+        "keys into P shards (enables partition-pruned and shard-wise "
         "scans; default 1 = flat)",
     )
     return parser

@@ -24,11 +24,11 @@ encodes one choice:
   eligible rule per round, the default) or ``"parallel"`` (the
   commutativity-certified batch scheduler of
   :mod:`repro.runtime.parallel`, which runs provably-commuting eligible
-  rules concurrently on copy-on-write forks and merges their net
+  rules as one batch round on copy-on-write forks and merges their net
   effects in a canonical order);
 * ``partitions`` — hash-partition declared tables into this many
   shards (:meth:`repro.engine.storage.TableData.shard`), enabling
-  partition pruning and per-shard fan-out of condition/action scans;
+  partition pruning and shard-wise condition/action scans;
   ``1`` (the default) keeps the flat layout.
 """
 

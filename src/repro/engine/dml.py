@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.config import ExecutionConfig, resolve_config
-from repro.engine import partition as PART
 from repro.engine import plan as P
 from repro.engine.database import Database
 from repro.engine.expressions import Evaluator, RowContext
@@ -176,7 +175,7 @@ def _pruned_rows(
     binding_columns = {binding: columns}
     if binding != table:
         binding_columns[table] = columns
-    conjuncts = P.split_conjuncts(where)
+    conjuncts = list(ast.split_conjuncts(where))
     for conjunct in conjuncts:
         for candidate in binding_columns:
             probe = P._as_const_probe(conjunct, candidate, binding_columns)
@@ -211,10 +210,9 @@ def _matching_tids(
 
     With partitioning enabled, a target scan over a sharded table first
     tries partition pruning (see :func:`_pruned_rows`); an unprunable
-    scan of a large sharded table with a subquery-free predicate fans
-    out per shard on the worker pool instead, merging matched tids in
-    ascending order — the same set, in the same order, as the serial
-    scan.
+    scan of a sharded table with a subquery-free predicate walks the
+    shards one after another instead, merging matched tids in ascending
+    order — the same set, in the same order, as the flat scan.
     """
     if where is None:
         return [row.tid for row in database.rows(table)]
@@ -250,28 +248,22 @@ def _matching_tids(
         if (
             predicate is not None
             and data.shard_count > 0
-            and len(data) >= PART.FAN_OUT_MIN_ROWS
             and not P._has_subquery(where)
         ):
-            def scan_shard(shard):
-                def task():
-                    context = RowContext()
-                    matched = []
-                    for row in data.shard_rows(shard):
-                        context.bind(binding, columns, row.values)
-                        if binding != table:
-                            context.bind(table, columns, row.values)
-                        if sql_is_truthy(predicate(context, evaluator)):
-                            matched.append(row.tid)
-                    return matched
-                return task
-
-            chunks = PART.map_shards(
-                scan_shard(shard) for shard in range(data.shard_count)
-            )
+            # Walk the shards' memoized row lists, which survive writes
+            # to other shards, then restore tid order.
+            matched = []
+            context = RowContext()
+            for shard in range(data.shard_count):
+                for row in data.shard_rows(shard):
+                    context.bind(binding, columns, row.values)
+                    if binding != table:
+                        context.bind(table, columns, row.values)
+                    if sql_is_truthy(predicate(context, evaluator)):
+                        matched.append(row.tid)
             P.STATS.rows_scanned += len(data)
             P.STATS.fanout_scans += 1
-            return sorted(tid for chunk in chunks for tid in chunk)
+            return sorted(matched)
     rows = database.rows(table)
 
     matched = []

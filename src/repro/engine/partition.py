@@ -1,4 +1,4 @@
-"""Hash-partitioning primitives: the shard function and the worker pool.
+"""Hash-partitioning primitive: the shard function.
 
 Sharded storage (:meth:`repro.engine.storage.TableData.shard`) splits a
 table's tid map into P shards keyed by :func:`stable_shard` over a
@@ -13,29 +13,16 @@ declared partition column. Two properties matter:
   layouts, and therefore every pruned-scan row order, are reproducible
   across runs and across the processes of a crash-recovery pair.
 
-The worker pool is a process-wide ``ThreadPoolExecutor`` shared by the
-per-shard fan-out paths (:mod:`repro.engine.plan`,
-:mod:`repro.engine.dml`) and the inter-rule batch scheduler
-(:mod:`repro.runtime.parallel`). The compiled predicate closures those
-workers run are pure loops over tuples, so the pool degrades gracefully
-to interleaving on a single core while preserving the deterministic
-tid-order merges that keep fan-out results byte-identical to a serial
-scan.
+Whole-table scans over a sharded table (:mod:`repro.engine.plan`,
+:mod:`repro.engine.dml`) walk the shards one after another and merge
+the survivors in tid order, so their results are byte-identical to a
+flat scan; the gain over a flat scan is that each shard's memoized row
+list survives writes to the other shards.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import zlib
-
-from concurrent.futures import ThreadPoolExecutor
-
-#: fan-out below this many rows is all dispatch overhead; scan inline
-FAN_OUT_MIN_ROWS = 256
-
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
 
 
 def stable_shard(value, count: int) -> int:
@@ -61,35 +48,3 @@ def stable_shard(value, count: int) -> int:
     if isinstance(value, str):
         return zlib.crc32(value.encode("utf-8")) % count
     return 0
-
-
-def worker_pool() -> ThreadPoolExecutor:
-    """The process-wide fan-out pool (created lazily, never shut down)."""
-    global _POOL
-    if _POOL is None:
-        with _POOL_LOCK:
-            if _POOL is None:
-                workers = max(2, min(8, os.cpu_count() or 1))
-                _POOL = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-shard"
-                )
-    return _POOL
-
-
-def map_shards(tasks):
-    """Run the zero-argument *tasks* on the pool; results in task order.
-
-    The caller supplies one task per shard and merges the returned
-    per-shard results in shard/tid order, which is what keeps fan-out
-    byte-identical to the equivalent serial scan.
-    """
-    tasks = list(tasks)
-    if len(tasks) <= 1:
-        return [task() for task in tasks]
-    if threading.current_thread().name.startswith("repro-shard"):
-        # Already on a pool worker (a scheduler batch fanning out a
-        # shard scan): run inline rather than submitting nested work
-        # that could starve behind the very tasks waiting on it.
-        return [task() for task in tasks]
-    pool = worker_pool()
-    return [future.result() for future in [pool.submit(task) for task in tasks]]

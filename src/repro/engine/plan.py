@@ -51,7 +51,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.engine import partition as PART
 from repro.engine import values as V
 from repro.engine.expressions import Evaluator, RowContext
 from repro.lang import ast
@@ -311,15 +310,6 @@ def _compile_negate(operand):
 # ----------------------------------------------------------------------
 
 
-def split_conjuncts(expr: ast.Expression):
-    """Yield the AND-conjuncts of *expr*, in source order."""
-    if isinstance(expr, ast.BinaryOp) and expr.op == "and":
-        yield from split_conjuncts(expr.left)
-        yield from split_conjuncts(expr.right)
-    else:
-        yield expr
-
-
 @dataclass
 class SourcePlan:
     """The per-FROM-table slice of a :class:`Plan`.
@@ -529,7 +519,9 @@ def classify_select(
     constant_gates: list = []
 
     conjuncts = (
-        list(split_conjuncts(select.where)) if select.where is not None else []
+        list(ast.split_conjuncts(select.where))
+        if select.where is not None
+        else []
     )
     for conjunct in conjuncts:
         try:
@@ -787,12 +779,12 @@ def execute_planned(
     :func:`~repro.engine.partition.stable_shard` is equality-consistent,
     so every row the probe can match lives in that shard, and the
     shard-local bucket holds them in the same tid order as the global
-    index. A pushed-down filter scan over a full sharded table fans out
-    across shards on the worker pool (``fanout_scans``) and merges the
-    survivors by tid, reproducing the serial scan's output
+    index. A pushed-down filter scan over a full sharded table walks
+    the shards one after another (``fanout_scans``) and merges the
+    survivors by tid, reproducing the flat scan's output
     byte-identically. (Error behavior on ill-typed filter predicates
-    falls in the module's documented divergence class: a fan-out scan
-    may surface a different row's error than the tid-ordered serial
+    falls in the module's documented divergence class: a shard-wise
+    scan may surface a different row's error than the tid-ordered flat
     scan.)
     """
     source_columns = tuple((binding, columns) for binding, columns, __ in sources)
@@ -854,32 +846,19 @@ def execute_planned(
                 table_data is not None
                 and not source_plan.const_probes
                 and len(rows) == len(table_data)
-                and len(rows) >= PART.FAN_OUT_MIN_ROWS
             ):
-                # Pushed-down filters are subquery-free single-binding
-                # conjuncts by construction (classify_select routes
-                # anything ambiguous to residuals), so workers only
-                # need a private RowContext each.
-                def scan_shard(shard, binding=binding, columns=columns,
-                               table_data=table_data):
-                    def task():
-                        context = RowContext(outer=outer_context)
-                        kept = []
-                        for row in table_data.shard_rows(shard):
-                            context.bind(binding, columns, row.values)
-                            for predicate in filters:
-                                if not truthy(predicate(context, evaluator)):
-                                    break
-                            else:
-                                kept.append((row.tid, row.values))
-                        return kept
-                    return task
-
-                chunks = PART.map_shards(
-                    scan_shard(shard)
-                    for shard in range(table_data.shard_count)
-                )
-                merged = [pair for chunk in chunks for pair in chunk]
+                # Walk the shards' memoized row lists, which survive
+                # writes to other shards, then restore tid order.
+                merged = []
+                for shard in range(table_data.shard_count):
+                    for row in table_data.shard_rows(shard):
+                        filter_context.bind(binding, columns, row.values)
+                        for predicate in filters:
+                            keep = predicate(filter_context, evaluator)
+                            if not truthy(keep):
+                                break
+                        else:
+                            merged.append((row.tid, row.values))
                 merged.sort(key=lambda pair: pair[0])
                 STATS.rows_scanned += len(rows)
                 STATS.fanout_scans += 1

@@ -36,9 +36,9 @@ each shard with its own tid-ordered row memo and its own equality-index
 cache. The flat ``_rows`` map stays authoritative — every existing
 caller sees the exact same table — while partition-aware paths
 (:mod:`repro.engine.dml` target scans, :mod:`repro.engine.plan`
-fan-out) read single shards: an equality conjunct on the partition key
-prunes a scan to one shard, and shard-local index caches survive
-writes to the *other* shards' rows.
+shard-wise scans) read single shards: an equality conjunct on the
+partition key prunes a scan to one shard, and shard-local index caches
+survive writes to the *other* shards' rows.
 """
 
 from __future__ import annotations

@@ -306,6 +306,15 @@ def walk_expression(expr: Expression):
             yield from walk_expression(arg)
 
 
+def split_conjuncts(expr: Expression):
+    """Yield the top-level AND-conjuncts of *expr*, in source order."""
+    if isinstance(expr, BinaryOp) and expr.op == "and":
+        yield from split_conjuncts(expr.left)
+        yield from split_conjuncts(expr.right)
+    else:
+        yield expr
+
+
 def subqueries_of(expr: Expression):
     """Yield every Select nested anywhere inside *expr* (recursively)."""
     for node in walk_expression(expr):

@@ -6,9 +6,10 @@ any state reaches the same state. Section 9 observes that rule sets
 further partition into groups that share no tables and no priority
 edges. Both results are usually read as analysis conveniences; this
 module uses them as a *runtime scheduler's correctness oracle* — rule
-applications proven to commute may be reordered, and therefore run
-concurrently, without changing the reachable final states (Theorem 6.7:
-all serializations agree, so executing any one of them is sound).
+applications proven to commute may be reordered, and therefore
+considered as one batch from one shared base state, without changing
+the reachable final states (Theorem 6.7: all serializations agree, so
+executing any one of them is sound).
 
 The :class:`ParallelScheduler` drives a
 :class:`~repro.runtime.processor.RuleProcessor` to quiescence the same
@@ -32,14 +33,16 @@ different *columns* of the same row — commuting under Lemma 6.1 —
 would lose one side's write in the merge. Partition-disjoint and
 table-disjoint batches never meet that case.
 
-Execution: every batch member runs on a copy-on-write
-:meth:`RuleProcessor.fork` from the same base state, on the shared
-worker pool. Merging then replays each fork's folded
-:class:`~repro.transitions.net_effect.NetEffect` onto the main
+Execution: every batch member is considered on its own copy-on-write
+:meth:`RuleProcessor.fork` of the same base state, one member after
+another in batch order. (Considerations are pure Python, so threads
+would only interleave them under the GIL; the batch is a correctness
+construct, not a concurrency one.) Merging then replays each fork's
+folded :class:`~repro.transitions.net_effect.NetEffect` onto the main
 processor in batch order — tables sorted by name, deletes then updates
 then inserts in ascending tid order, inserts re-allocating fresh tids —
-a canonical order fully determined by the batch, so parallel execution
-is deterministic run-to-run. Net-effect folding guarantees delete and
+a canonical order fully determined by the batch, so batch execution is
+deterministic run-to-run. Net-effect folding guarantees delete and
 update entries reference only pre-batch tids (an insert-then-update
 folds into the insert; an insert-then-delete annihilates), and
 disjoint write tables guarantee no two members' effects overlap, so
@@ -64,7 +67,6 @@ import time
 from repro.analysis.commutativity import CommutativityAnalyzer
 from repro.analysis.derived import DerivedDefinitions
 from repro.analysis.partitioning import partition_rules
-from repro.engine import partition as PART
 from repro.errors import RuleProcessingLimitExceeded
 from repro.runtime.processor import (
     ConsiderationOutcome,
@@ -78,7 +80,7 @@ from repro.transitions.net_effect import NetEffect
 class SchedulerStats(StatsBase):
     """Global work counters for the parallel scheduler.
 
-    ``parallel_considerations`` counts rules that ran on batch forks;
+    ``parallel_considerations`` counts rules considered on batch forks;
     ``serial_considerations`` counts singleton rounds (including
     rollback fallbacks). ``commute_serializations`` counts admission
     refusals — pairs the oracle could not certify (or whose write
@@ -106,7 +108,7 @@ STATS = SchedulerStats()
 
 
 class ParallelScheduler:
-    """Batch-parallel quiescence loop over one rule processor.
+    """Batch quiescence loop over one rule processor.
 
     Built lazily by :meth:`RuleProcessor.run` when the session config
     says ``scheduler="parallel"``, and cached on the processor so the
@@ -138,7 +140,7 @@ class ParallelScheduler:
     # ------------------------------------------------------------------
 
     def _independent(self, first: str, second: str) -> bool:
-        """May *first* and *second* run concurrently in one batch?
+        """May *first* and *second* be considered in one batch?
 
         True iff they belong to different static partitions (no shared
         tables, no priority edge — trivially commuting) or the analysis
@@ -229,16 +231,10 @@ class ParallelScheduler:
         base_observables = len(proc.observables)
         forks = [proc.fork() for __ in batch]
         STATS.forks += len(forks)
-
-        def consider_on(fork, rule):
-            def task():
-                return fork.consider(rule, eligible=eligible)
-
-            return task
-
-        outcomes = PART.map_shards(
-            consider_on(fork, rule) for fork, rule in zip(forks, batch)
-        )
+        outcomes = [
+            fork.consider(rule, eligible=eligible)
+            for fork, rule in zip(forks, batch)
+        ]
 
         if any(outcome.rolled_back for outcome in outcomes):
             # Rollback restores the transaction snapshot — incompatible
@@ -295,16 +291,7 @@ class ParallelScheduler:
         while True:
             eligible = proc.eligible_rules()
             if not eligible:
-                position = proc.log.position
-                for name in proc.markers:
-                    proc.markers[name] = position
-                proc._transitions.clear()
-                outcome = "rolled_back" if proc._rolled_back else "quiescent"
-                return ProcessingResult(
-                    outcome=outcome,
-                    steps=steps,
-                    observables=proc.observables[observables_before:],
-                )
+                return proc.finish_assertion_point(steps, observables_before)
             if len(steps) >= proc.max_steps:
                 raise RuleProcessingLimitExceeded(proc.max_steps)
             STATS.rounds += 1

@@ -544,20 +544,29 @@ class RuleProcessor:
         while True:
             eligible = self.eligible_rules()
             if not eligible:
-                position = self.log.position
-                for name in self.markers:
-                    self.markers[name] = position
-                self._transitions.clear()
-                outcome = "rolled_back" if self._rolled_back else "quiescent"
-                return ProcessingResult(
-                    outcome=outcome,
-                    steps=steps,
-                    observables=self.observables[observables_before:],
-                )
+                return self.finish_assertion_point(steps, observables_before)
             if len(steps) >= self.max_steps:
                 raise RuleProcessingLimitExceeded(self.max_steps)
             chosen = self.strategy.choose(eligible)
             steps.append(self.consider(chosen, eligible=eligible))
+
+    def finish_assertion_point(
+        self, steps: list[ConsiderationOutcome], observables_before: int
+    ) -> ProcessingResult:
+        """End rule processing at an assertion point with nothing left
+        eligible: advance every marker to the end of the log (see
+        :meth:`run`), drop the per-rule transitions they invalidate,
+        and report *steps* plus the observables emitted since
+        *observables_before*. Shared by every quiescence loop."""
+        position = self.log.position
+        for name in self.markers:
+            self.markers[name] = position
+        self._transitions.clear()
+        return ProcessingResult(
+            outcome="rolled_back" if self._rolled_back else "quiescent",
+            steps=steps,
+            observables=self.observables[observables_before:],
+        )
 
     # ------------------------------------------------------------------
     # State identity and forking (used by the execution-graph explorer)

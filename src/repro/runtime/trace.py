@@ -66,24 +66,15 @@ def trace_run(
 
     while True:
         triggered = processor.triggered_rules()
-        eligible = processor.eligible_rules()
+        eligible = processor.ruleset.choose(triggered)
         if not eligible:
-            outcome = (
-                "rolled_back" if processor.rolled_back else "quiescent"
+            result = processor.finish_assertion_point(
+                steps, observables_before
             )
             events.append(
-                TraceEvent(kind=outcome, step=step, triggered=triggered)
+                TraceEvent(kind=result.outcome, step=step, triggered=triggered)
             )
-            for name in processor.markers:
-                processor.markers[name] = processor.log.position
-            return (
-                ProcessingResult(
-                    outcome=outcome,
-                    steps=steps,
-                    observables=processor.observables[observables_before:],
-                ),
-                events,
-            )
+            return result, events
         if step >= processor.max_steps:
             raise RuleProcessingLimitExceeded(processor.max_steps)
 

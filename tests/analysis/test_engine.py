@@ -1,5 +1,5 @@
-"""AnalysisEngine tests: memoization, precise invalidation, parallel
-determinism, restricted threading, report round-trips."""
+"""AnalysisEngine tests: memoization, precise invalidation, restricted
+threading, report round-trips."""
 
 import json
 
@@ -255,59 +255,6 @@ class TestRuleEditInvalidation:
             edited, schema, certified=[("a", "b")]
         )
         assert confluence_dict(analysis) == confluence_dict(truth)
-
-
-class TestParallelDeterminism:
-    @staticmethod
-    def _comparable(report: AnalysisReport) -> str:
-        data = report.to_dict()
-        data.pop("stats")
-        data.pop("timings")
-        return json.dumps(data, sort_keys=True)
-
-    def test_parallel_results_byte_identical_to_serial(self):
-        from repro.workloads.generator import (
-            GeneratorConfig,
-            LayeredRuleSetGenerator,
-        )
-
-        config = GeneratorConfig(
-            n_tables=4,
-            n_columns=2,
-            n_rules=12,
-            rows_per_table=2,
-            statements_per_transition=2,
-        )
-        for seed in range(5):
-            ruleset = LayeredRuleSetGenerator(
-                config, seed=seed, p_conflict=0.4
-            ).generate()
-            source = ruleset.source()
-            serial = RuleAnalyzer(
-                RuleSet.parse(source, ruleset.schema), parallel=False
-            ).analyze()
-            parallel = RuleAnalyzer(
-                RuleSet.parse(source, ruleset.schema), parallel=True
-            ).analyze()
-            assert self._comparable(serial) == self._comparable(parallel)
-
-    def test_parallel_warm_runs_above_threshold(self, schema):
-        engine = AnalysisEngine(
-            RuleSet.parse(CLUSTERED, schema),
-            parallel=None,
-            parallel_threshold=3,
-        )
-        engine.analyze_confluence()
-        assert engine.stats.parallel_batches > 0
-
-    def test_parallel_off_below_threshold(self, schema):
-        engine = AnalysisEngine(
-            RuleSet.parse(CLUSTERED, schema),
-            parallel=None,
-            parallel_threshold=48,
-        )
-        engine.analyze_confluence()
-        assert engine.stats.parallel_batches == 0
 
 
 class TestRestrictedThreading:

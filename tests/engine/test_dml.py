@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import ExecutionConfig
 from repro.engine.database import Database
 from repro.engine.dml import execute_statement, execute_script
 from repro.engine.query import DatabaseProvider, OverlayProvider
@@ -84,6 +85,34 @@ class TestDelete:
         database.load("u", [(1,)])
         result = run(database, "delete from t where id in (select x from u)")
         assert result.affected == 1
+
+
+class TestPartitionPrunedTargets:
+    """A partition-key conjunct prunes a target scan to one shard; every
+    other conjunct must still be checked per row, wherever it stands."""
+
+    @pytest.fixture
+    def sharded(self):
+        schema = schema_from_spec({"t": ["id", "v"]})
+        db = Database(schema)
+        db.load("t", [(i % 2, i) for i in range(8)])
+        db.declare_partition_key("t", "id")
+        db.apply_partitioning(4)
+        return db
+
+    @pytest.mark.parametrize(
+        "where",
+        ["v > 5 and id = 1", "id = 1 and v > 5", "v > 2 and v < 7 and id = 1"],
+    )
+    def test_residual_conjuncts_around_the_key(self, sharded, where):
+        flat = sharded.copy()
+        flat.apply_partitioning(1)
+        config = ExecutionConfig(partitions=4)
+        statement = parse_statement(f"delete from t where {where}")
+        execute_statement(sharded, statement, config=config)
+        execute_statement(flat, statement)
+        assert sharded.canonical() == flat.canonical()
+        assert len(sharded.table("t")) < 8
 
 
 class TestUpdate:

@@ -1,7 +1,7 @@
 """Parallel scheduler: admission soundness and serial equivalence.
 
-The :class:`~repro.runtime.parallel.ParallelScheduler` may only run two
-rules concurrently when it holds a proof — different static partitions,
+The :class:`~repro.runtime.parallel.ParallelScheduler` may only batch
+two rules into one round when it holds a proof — different static partitions,
 or a positive Definition 6.5 commute verdict plus disjoint write
 tables. These tests pin the admission rules (including that unknown or
 negative verdicts serialize), the rollback fallback, and byte-identical
