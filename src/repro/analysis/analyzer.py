@@ -327,9 +327,9 @@ class RuleAnalyzer:
     "actually commute" examples are then discharged without user
     certification — see
     :class:`~repro.analysis.commutativity.CommutativityAnalyzer`).
-    Pairs are judged lazily on the calling thread; no option starts a
-    thread. An existing :class:`AnalysisEngine` can be supplied to share
-    memo state (used by :meth:`analyze_restricted`).
+    Pairs are judged lazily on the calling thread. An existing
+    :class:`AnalysisEngine` can be supplied to share memo state (used by
+    :meth:`analyze_restricted`).
     """
 
     def __init__(

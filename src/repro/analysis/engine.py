@@ -36,8 +36,7 @@ pairs from scratch on every round is the dominant cost.
 
 * **One judging path** — raw Lemma 6.1 pairs are judged lazily, on
   the calling thread, the first time a Definition 6.5 verdict consults
-  them. The judgments are pure Python, so a thread pool would only
-  interleave them under the GIL; there is no separate warm-up pass.
+  them; there is no separate warm-up pass.
 
 The engine also keeps :class:`EngineStats` — pairs judged, memo hits,
 invalidations, fixpoint iterations, per-phase wall-clock — surfaced

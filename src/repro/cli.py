@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="P",
         help="with --run: hash-partition tables with declared partition "
-        "keys into P shards (enables partition-pruned and shard-wise "
-        "scans; default 1 = flat)",
+        "keys into P shards (enables partition-pruned scans and "
+        "single-shard probes; default 1 = flat)",
     )
     return parser
 

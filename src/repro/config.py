@@ -28,7 +28,7 @@ encodes one choice:
   effects in a canonical order);
 * ``partitions`` — hash-partition declared tables into this many
   shards (:meth:`repro.engine.storage.TableData.shard`), enabling
-  partition pruning and shard-wise condition/action scans;
+  partition pruning of condition probes and action scans;
   ``1`` (the default) keeps the flat layout.
 """
 

@@ -210,9 +210,7 @@ def _matching_tids(
 
     With partitioning enabled, a target scan over a sharded table first
     tries partition pruning (see :func:`_pruned_rows`); an unprunable
-    scan of a sharded table with a subquery-free predicate walks the
-    shards one after another instead, merging matched tids in ascending
-    order — the same set, in the same order, as the flat scan.
+    scan reads the flat tid-ordered row list like any other.
     """
     if where is None:
         return [row.tid for row in database.rows(table)]
@@ -244,26 +242,6 @@ def _matching_tids(
                 ):
                     matched.append(row.tid)
             return matched
-        data = database.table(table)
-        if (
-            predicate is not None
-            and data.shard_count > 0
-            and not P._has_subquery(where)
-        ):
-            # Walk the shards' memoized row lists, which survive writes
-            # to other shards, then restore tid order.
-            matched = []
-            context = RowContext()
-            for shard in range(data.shard_count):
-                for row in data.shard_rows(shard):
-                    context.bind(binding, columns, row.values)
-                    if binding != table:
-                        context.bind(table, columns, row.values)
-                    if sql_is_truthy(predicate(context, evaluator)):
-                        matched.append(row.tid)
-            P.STATS.rows_scanned += len(data)
-            P.STATS.fanout_scans += 1
-            return sorted(matched)
     rows = database.rows(table)
 
     matched = []

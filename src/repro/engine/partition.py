@@ -13,11 +13,8 @@ declared partition column. Two properties matter:
   layouts, and therefore every pruned-scan row order, are reproducible
   across runs and across the processes of a crash-recovery pair.
 
-Whole-table scans over a sharded table (:mod:`repro.engine.plan`,
-:mod:`repro.engine.dml`) walk the shards one after another and merge
-the survivors in tid order, so their results are byte-identical to a
-flat scan; the gain over a flat scan is that each shard's memoized row
-list survives writes to the other shards.
+Only probes and scans pinned by an equality conjunct on the partition
+key read a single shard; every other scan reads the flat tid map.
 """
 
 from __future__ import annotations

@@ -85,7 +85,6 @@ class PlannerStats(StatsBase):
         "hash_join_probes",
         "rows_scanned",
         "shard_probes",
-        "fanout_scans",
         "plan_seconds",
     )
     SECONDS = frozenset({"plan_seconds"})
@@ -773,19 +772,12 @@ def execute_planned(
     naive cross-product filter produces, in the same order.
 
     When *config* enables partitioning and a scanned table is sharded,
-    two partition-aware paths apply. A const probe whose columns pin
-    the partition key resolves through the single shard the probe value
-    hashes to (``shard_probes``) — sound because
-    :func:`~repro.engine.partition.stable_shard` is equality-consistent,
-    so every row the probe can match lives in that shard, and the
-    shard-local bucket holds them in the same tid order as the global
-    index. A pushed-down filter scan over a full sharded table walks
-    the shards one after another (``fanout_scans``) and merges the
-    survivors by tid, reproducing the flat scan's output
-    byte-identically. (Error behavior on ill-typed filter predicates
-    falls in the module's documented divergence class: a shard-wise
-    scan may surface a different row's error than the tid-ordered flat
-    scan.)
+    a const probe whose columns pin the partition key resolves through
+    the single shard the probe value hashes to (``shard_probes``) —
+    sound because :func:`~repro.engine.partition.stable_shard` is
+    equality-consistent, so every row the probe can match lives in that
+    shard, and the shard-local bucket holds them in the same tid order
+    as the global index.
     """
     source_columns = tuple((binding, columns) for binding, columns, __ in sources)
     plan = plan_select(select, source_columns)
@@ -842,38 +834,16 @@ def execute_planned(
         if source_plan.filters:
             truthy = V.sql_is_truthy
             filters = source_plan.filters
-            if (
-                table_data is not None
-                and not source_plan.const_probes
-                and len(rows) == len(table_data)
-            ):
-                # Walk the shards' memoized row lists, which survive
-                # writes to other shards, then restore tid order.
-                merged = []
-                for shard in range(table_data.shard_count):
-                    for row in table_data.shard_rows(shard):
-                        filter_context.bind(binding, columns, row.values)
-                        for predicate in filters:
-                            keep = predicate(filter_context, evaluator)
-                            if not truthy(keep):
-                                break
-                        else:
-                            merged.append((row.tid, row.values))
-                merged.sort(key=lambda pair: pair[0])
-                STATS.rows_scanned += len(rows)
-                STATS.fanout_scans += 1
-                rows = [values for __, values in merged]
-            else:
-                kept = []
-                for row in rows:
-                    filter_context.bind(binding, columns, row)
-                    for predicate in filters:
-                        if not truthy(predicate(filter_context, evaluator)):
-                            break
-                    else:
-                        kept.append(row)
-                STATS.rows_scanned += len(rows)
-                rows = kept
+            kept = []
+            for row in rows:
+                filter_context.bind(binding, columns, row)
+                for predicate in filters:
+                    if not truthy(predicate(filter_context, evaluator)):
+                        break
+                else:
+                    kept.append(row)
+            STATS.rows_scanned += len(rows)
+            rows = kept
 
         if source_plan.join_cols is not None:
             if not source_plan.filters and not source_plan.const_probes:

@@ -36,7 +36,7 @@ each shard with its own tid-ordered row memo and its own equality-index
 cache. The flat ``_rows`` map stays authoritative — every existing
 caller sees the exact same table — while partition-aware paths
 (:mod:`repro.engine.dml` target scans, :mod:`repro.engine.plan`
-shard-wise scans) read single shards: an equality conjunct on the
+const probes) read single shards: an equality conjunct on the
 partition key prunes a scan to one shard, and shard-local index caches
 survive writes to the *other* shards' rows.
 """

@@ -1,7 +1,7 @@
 """Rule processing and static analysis run on the calling thread.
 
-The batch scheduler, shard-wise scans and pair judging are pure-Python
-loops: under the GIL a thread pool only interleaves them, so none of
+The batch scheduler, partition-pruned scans and pair judging are
+pure-Python loops: under the GIL a thread pool only interleaves them, so none of
 them may start a thread. (Threads remain where they overlap I/O: the
 server sessions, group commit and the workload drivers.)
 """
