@@ -11,7 +11,10 @@ canonical order. This gate pins both properties:
   (:mod:`repro.workloads.partitioned`), the parallel configuration at
   4 partitions finishes at least ``--min-speedup`` (default 2) times
   faster than the default serial configuration, measured wall-clock
-  best-of-``repeats``;
+  best-of-``repeats``. The serial loop at the same 4 partitions is
+  timed too and reported as ``speedup_vs_partitioned_serial``: the
+  part of the speedup that the batch scheduler adds on top of
+  partition pruning alone;
 * **equivalence** — byte-identical outcomes, final canonical databases
   and observable streams between the two configurations on the drain
   workload itself, the power-network case study, seeded instances of
@@ -47,6 +50,10 @@ PARALLEL = ExecutionConfig(scheduler="parallel", partitions=GATE_PARTITIONS)
 
 MODES = {"serial": SERIAL, "parallel": PARALLEL}
 
+#: the serial loop on the same shards: separates what pruning delivers
+#: from what batching adds
+PARTITIONED_SERIAL = ExecutionConfig(partitions=GATE_PARTITIONS)
+
 
 def _run_measured(ruleset, database, statements, config, **kwargs):
     """Run one session; return (comparable record, wall-clock seconds).
@@ -74,32 +81,35 @@ def _run_measured(ruleset, database, statements, config, **kwargs):
     return record, elapsed
 
 
-def _compare(records: dict, label: str) -> None:
-    serial, batched = records["serial"], records["parallel"]
+def _compare(records: dict, label: str, other: str = "parallel") -> None:
+    serial, batched = records["serial"], records[other]
     assert serial["outcome"] == batched["outcome"], (
-        f"{label}: outcomes diverge between schedulers"
+        f"{label}: outcomes diverge between serial and {other}"
     )
     assert serial["final_database"] == batched["final_database"], (
-        f"{label}: final databases diverge between schedulers"
+        f"{label}: final databases diverge between serial and {other}"
     )
     assert serial["observables"] == batched["observables"], (
-        f"{label}: observable streams diverge between schedulers"
+        f"{label}: observable streams diverge between serial and {other}"
     )
 
 
 def run_speedup_gate(
     min_speedup: float = 2.0, rows: int = 100_000, repeats: int = 2
 ) -> dict:
-    """Wall-clock serial vs. parallel on the 10⁵-row drain workload.
+    """Wall-clock serial vs. parallel on the 10⁵-row drain workload,
+    with the serial loop at the parallel leg's partition count as a
+    third leg.
 
-    Best-of-*repeats* per mode damps scheduler-noise outliers; the two
-    final states must also be byte-identical, so the speedup is never
-    bought with a semantic shortcut.
+    Best-of-*repeats* per mode damps scheduler-noise outliers; all
+    three final states must also be byte-identical, so no speedup is
+    ever bought with a semantic shortcut.
     """
-    seconds = {name: [] for name in MODES}
+    modes = {**MODES, "partitioned_serial": PARTITIONED_SERIAL}
+    seconds = {name: [] for name in modes}
     records = {}
     for __ in range(repeats):
-        for name, config in MODES.items():
+        for name, config in modes.items():
             workload = partitioned_workload(rows=rows, seed=3)
             record, elapsed = _run_measured(
                 workload.ruleset,
@@ -111,6 +121,7 @@ def run_speedup_gate(
             records[name] = record
             seconds[name].append(elapsed)
     _compare(records, "drain")
+    _compare(records, "drain", other="partitioned_serial")
 
     best = {name: min(times) for name, times in seconds.items()}
     speedup = best["serial"] / best["parallel"]
@@ -119,8 +130,12 @@ def run_speedup_gate(
         "partitions": GATE_PARTITIONS,
         "steps": records["serial"]["steps"],
         "serial_seconds": round(best["serial"], 4),
+        "partitioned_serial_seconds": round(best["partitioned_serial"], 4),
         "parallel_seconds": round(best["parallel"], 4),
         "speedup": round(speedup, 2),
+        "speedup_vs_partitioned_serial": round(
+            best["partitioned_serial"] / best["parallel"], 2
+        ),
         "equivalent": True,
     }
 

@@ -48,8 +48,13 @@ def _interference_fixpoint(
     sets (accepted or not) — together with the members themselves these
     are exactly the rules whose priority edges the result depends on.
     """
+    above = priorities.above
     r1: set[str] = {ri}
     r2: set[str] = {rj}
+    #: every rule that outranks some member of R1 (resp. R2), grown with
+    #: the set: "outranks something in R2" is one membership test
+    over_r1: set[str] = set(above(ri))
+    over_r2: set[str] = set(above(rj))
     examined: set[str] = set()
     iterations = 0
     changed = True
@@ -65,8 +70,9 @@ def _interference_fixpoint(
         }
         examined |= candidates1
         for candidate in candidates1:
-            if any(priorities.has_precedence(candidate, lower) for lower in r2):
+            if candidate in over_r2:
                 r1.add(candidate)
+                over_r1 |= above(candidate)
                 changed = True
         candidates2 = {
             candidate
@@ -76,8 +82,9 @@ def _interference_fixpoint(
         }
         examined |= candidates2
         for candidate in candidates2:
-            if any(priorities.has_precedence(candidate, lower) for lower in r1):
+            if candidate in over_r1:
                 r2.add(candidate)
+                over_r2 |= above(candidate)
                 changed = True
     return frozenset(r1), frozenset(r2), frozenset(examined), iterations
 

@@ -167,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print per-phase wall time (parse, plan, triggering, pair "
-        "analysis, and with --run execution/exploration) for perf triage",
+        help="print per-phase wall time (parse, plan, pair analysis, and "
+        "with --run execution, triggering, Choose and exploration) for "
+        "perf triage",
     )
     parser.add_argument(
         "--report",
@@ -445,6 +446,7 @@ def _execute_run(
     wal = _finish_durable(processor)
     profile["execution"] = time.perf_counter() - started
     profile["triggering"] = processor.stats.trigger_seconds
+    profile["choose"] = processor.stats.choose_seconds
 
     run = RunResult(
         processor=processor,

@@ -8,7 +8,11 @@ relation must be a strict partial order; cycles are rejected.
 
 from __future__ import annotations
 
+from typing import AbstractSet
+
 from repro.errors import PriorityCycleError, RuleError
+
+_NO_RULES: frozenset[str] = frozenset()
 
 
 class PriorityRelation:
@@ -163,6 +167,18 @@ class PriorityRelation:
         if first == second:
             return False
         return not self.are_ordered(first, second)
+
+    def above(self, name: str) -> AbstractSet[str]:
+        """Every rule that has precedence over *name*, an already
+        lowercased rule name: the maintained inverse closure itself
+        (empty for a name outside the relation, like
+        :meth:`has_precedence`).
+
+        Returned without a copy so hot paths (``Choose``, the confluence
+        fixpoint) can test it with ``isdisjoint``; callers must not
+        mutate it.
+        """
+        return self._above.get(name, _NO_RULES)
 
     def lower_than(self, name: str) -> frozenset[str]:
         """All rules that *name* has precedence over."""

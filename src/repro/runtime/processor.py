@@ -19,17 +19,23 @@ paper: "a given rule is triggered if its transition predicate holds with
 respect to the (composite) transition since the last time it was
 considered."
 
+A rule triggers only on operations of its own table and its
+transition tables show only that table, so a rule's pending transition
+is the net effect of the suffix's primitives *on its own table*; writes
+to other tables are never folded into it.
+
 Incremental substrate. With ``incremental=True`` (the default) the
 processor maintains one cached :class:`~repro.transitions.net_effect.NetEffect`
-per rule, advanced by :meth:`NetEffect.fold` over only the primitives
-appended since the rule's transition was last examined — each primitive
-is folded at most once per rule, instead of the whole suffix being
-refolded on every triggering check. A per-table touch index over the
-log skips rules whose table was not written since their marker without
-touching their net effect at all, and the triggering verdict itself is
-cached until the rule's table is written again. ``incremental=False``
-recomputes everything from scratch (the seed behavior); the substrate
-benchmark gate asserts both modes produce byte-identical results.
+per rule, advanced by :meth:`NetEffect.fold` over only the own-table
+primitives appended since the rule's transition was last examined —
+each primitive is folded at most once per rule, instead of the whole
+suffix being refolded on every triggering check. A per-table touch
+index over the log skips rules whose table was not written since their
+marker without touching their net effect at all, and the triggering
+verdict itself is cached until the rule's table is written again.
+``incremental=False`` recomputes everything from scratch (the seed
+behavior); the substrate benchmark gate asserts both modes produce
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -87,15 +93,17 @@ class ProcessingResult:
 class ProcessorStats(StatsBase):
     """Work counters for the runtime substrate (benchmark gate input).
 
-    ``primitives_folded`` counts incremental net-effect advances;
-    ``primitives_scanned`` counts from-scratch suffix refolds (the
-    non-incremental path). The substrate gate's triggering-work ratio
-    is ``scanned(incremental=False) / folded(incremental=True)`` over
-    the same workload. ``touch_skips`` counts triggering checks
+    ``primitives_folded`` counts the primitives the incremental path
+    folds into per-rule net effects (only those on the rule's own
+    table); ``primitives_scanned`` counts from-scratch suffix refolds
+    (the non-incremental path). The substrate gate's triggering-work
+    ratio is ``scanned(incremental=False) / folded(incremental=True)``
+    over the same workload. ``touch_skips`` counts triggering checks
     answered by the per-table touch index alone; ``verdict_hits``
     counts checks answered by the cached verdict (no refold);
     ``trigger_seconds`` is wall time spent in triggered_rules() scans
-    (the --profile surface).
+    and ``choose_seconds`` wall time spent in ``Choose`` on the
+    triggered set (the --profile surface).
     """
 
     FIELDS = (
@@ -107,8 +115,9 @@ class ProcessorStats(StatsBase):
         "forks",
         "considerations",
         "trigger_seconds",
+        "choose_seconds",
     )
-    SECONDS = frozenset({"trigger_seconds"})
+    SECONDS = frozenset({"trigger_seconds", "choose_seconds"})
 
 
 class _RuleTransition:
@@ -300,39 +309,54 @@ class RuleProcessor:
     # Triggering
     # ------------------------------------------------------------------
 
-    def _transition_for(self, rule_name: str) -> _RuleTransition:
+    def _transition_for(self, rule) -> _RuleTransition:
         """The rule's cached transition, advanced to the current log end.
 
-        Each primitive is folded into a given rule's net effect at most
-        once (amortized); markers moved behind our back (the tracer
-        pokes ``markers`` directly) invalidate the fold wholesale.
+        Only primitives on the rule's own table are folded: triggering,
+        the transition tables and ``state_key`` read nothing else, so a
+        rule on ``t`` never pays for writes to other tables. Each such
+        primitive is folded into the rule's net effect at most once
+        (amortized); markers moved behind our back (the tracer pokes
+        ``markers`` directly) invalidate the fold wholesale.
         """
-        marker = self.markers[rule_name]
-        transition = self._transitions.get(rule_name)
+        marker = self.markers[rule.name]
+        transition = self._transitions.get(rule.name)
         if transition is None or transition.marker != marker:
             transition = _RuleTransition(marker)
-            self._transitions[rule_name] = transition
+            self._transitions[rule.name] = transition
         position = self.log.position
         if transition.position < position:
-            self.stats.primitives_folded += position - transition.position
-            transition.net = transition.net.fold(
-                self.log.iter_range(transition.position, position)
-            )
+            table = rule.table
+            if self.log.written_since(table, transition.position):
+                primitives = [
+                    primitive
+                    for primitive in self.log.iter_range(
+                        transition.position, position
+                    )
+                    if primitive.table == table
+                ]
+                self.stats.primitives_folded += len(primitives)
+                transition.net = transition.net.fold(primitives)
+                transition.triggered = None
             transition.position = position
-            transition.triggered = None
         return transition
 
     def pending_net_effect(self, rule_name: str) -> NetEffect:
-        """The composite transition since *rule_name* was last considered."""
-        rule_name = rule_name.lower()
+        """The composite transition on *rule_name*'s own table since the
+        rule was last considered (other tables' writes are left out:
+        nothing the rule triggers on or reads as a transition table
+        lives there)."""
+        rule = self.ruleset.rule(rule_name)
         if not self.incremental:
-            marker = self.markers[rule_name]
-            suffix = self.log.since(marker)
+            suffix = self.log.since(self.markers[rule.name])
             self.stats.primitives_scanned += len(suffix)
-            return NetEffect.from_primitives(suffix)
+            table = rule.table
+            return NetEffect.from_primitives(
+                primitive for primitive in suffix if primitive.table == table
+            )
         # The cached net effect escapes to the caller: mark it shared so
         # later folds copy instead of mutating what the caller holds.
-        return self._transition_for(rule_name).net.share()
+        return self._transition_for(rule).net.share()
 
     def _is_triggered(self, rule) -> bool:
         """One rule's triggering check against its pending transition."""
@@ -362,7 +386,7 @@ class RuleProcessor:
             # since it was computed, so the verdict is unchanged.
             self.stats.verdict_hits += 1
             return transition.triggered
-        transition = self._transition_for(rule.name)
+        transition = self._transition_for(rule)
         operations = transition.net.operations_for(
             rule.table, self._column_names[rule.table]
         )
@@ -377,15 +401,26 @@ class RuleProcessor:
         started = time.perf_counter()
         triggered = tuple(
             rule.name
-            for rule in self.ruleset
-            if self.ruleset.is_active(rule.name) and self._is_triggered(rule)
+            for rule in self.ruleset.active_rules()
+            if self._is_triggered(rule)
         )
         self.stats.trigger_seconds += time.perf_counter() - started
         return triggered
 
-    def eligible_rules(self) -> tuple[str, ...]:
-        """``Choose`` applied to the current triggered set."""
-        return self.ruleset.choose(self.triggered_rules())
+    def eligible_rules(
+        self, *, triggered: tuple[str, ...] | None = None
+    ) -> tuple[str, ...]:
+        """``Choose`` applied to the current triggered set.
+
+        A caller that just computed :meth:`triggered_rules` passes it as
+        *triggered* so the scan is not repeated.
+        """
+        if triggered is None:
+            triggered = self.triggered_rules()
+        started = time.perf_counter()
+        eligible = self.ruleset.choose(triggered)
+        self.stats.choose_seconds += time.perf_counter() - started
+        return eligible
 
     # ------------------------------------------------------------------
     # Consideration of a single rule
@@ -582,10 +617,11 @@ class RuleProcessor:
         writes on other tables are invisible to this rule's future
         behavior and must not block state merging.
         """
-        table = self.ruleset.rule(rule_name).table
+        rule = self.ruleset.rule(rule_name)
+        table = rule.table
         if not self.incremental:
             return self.pending_net_effect(rule_name).table(table).canonical()
-        transition = self._transition_for(rule_name)
+        transition = self._transition_for(rule)
         if transition.canonical_at != transition.position:
             transition.canonical = transition.net.table(table).canonical()
             transition.canonical_at = transition.position

@@ -4,7 +4,9 @@ The paper motivates its analyses with how opaque rule processing is to
 the programmer ("unstructured, unpredictable, and often
 nondeterministic behavior ... can be a nightmare"). A trace makes one
 concrete run legible: which rules were triggered by what, which was
-chosen, what its condition saw, and what its action did.
+chosen, what its condition saw, and what its action did. The
+transition line summarizes the chosen rule's pending transition, which
+holds its own table only (the one its transition tables show).
 
 :func:`trace_run` drives a processor to quiescence exactly like
 :meth:`RuleProcessor.run` while recording a structured
@@ -66,7 +68,7 @@ def trace_run(
 
     while True:
         triggered = processor.triggered_rules()
-        eligible = processor.ruleset.choose(triggered)
+        eligible = processor.eligible_rules(triggered=triggered)
         if not eligible:
             result = processor.finish_assertion_point(
                 steps, observables_before

@@ -31,7 +31,15 @@ from repro.transitions.delta import Primitive
 class TableNetEffect:
     """The net effect of a transition on a single table."""
 
-    __slots__ = ("table", "inserted", "deleted", "updated", "_owned", "_canonical")
+    __slots__ = (
+        "table",
+        "inserted",
+        "deleted",
+        "updated",
+        "_owned",
+        "_canonical",
+        "_updated_columns",
+    )
 
     def __init__(
         self,
@@ -47,14 +55,22 @@ class TableNetEffect:
         #: False once this effect is structurally shared (a fold must
         #: copy it before mutating)
         self._owned = True
-        #: memoized canonical() — invalidated on mutation
+        #: memoized canonical() and updated_columns() — both invalidated
+        #: on mutation
         self._canonical: tuple | None = None
+        self._updated_columns: frozenset[str] | None = None
 
     def is_empty(self) -> bool:
         return not (self.inserted or self.deleted or self.updated)
 
     def updated_columns(self, column_names: tuple[str, ...]) -> frozenset[str]:
-        """Column names whose value changed in some composite update."""
+        """Column names whose value changed in some composite update.
+
+        *column_names* are the table's columns; the result is memoized
+        until the next fold that touches this table.
+        """
+        if self._updated_columns is not None:
+            return self._updated_columns
         changed: set[str] = set()
         for old, new in self.updated.values():
             for name, old_value, new_value in zip(column_names, old, new):
@@ -62,7 +78,8 @@ class TableNetEffect:
                     new_value
                 ):
                     changed.add(name)
-        return frozenset(changed)
+        self._updated_columns = frozenset(changed)
+        return self._updated_columns
 
     def canonical(self) -> tuple:
         """A hashable, tid-free canonical form (for execution-graph states).
@@ -165,6 +182,7 @@ class NetEffect:
                 result[name] = effect
             touched.add(name)
             effect._canonical = None
+            effect._updated_columns = None
             _fold(effect, primitive)
             if primitive.kind == "U" and primitive.tid in effect.updated:
                 updated_tids.add((name, primitive.tid))

@@ -260,6 +260,50 @@ class TestRunMode:
         assert "outcome: quiescent" in out
         assert "(1, 4)" in out  # u row 1 bumped from 3 to 4
 
+    def test_profile_reports_triggering_and_choose(self, files, capsys):
+        import json
+
+        code = main(
+            [
+                files("r.txt", RUNNABLE_RULES),
+                "--schema",
+                files("s.txt", SCHEMA),
+                "--data",
+                files("d.txt", DATA),
+                "--run",
+                "insert into t values (1, 9)",
+                "--json",
+                "--profile",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {"triggering", "choose"} <= set(payload["profile"])
+        stats = payload["execution"]["stats"]
+        assert stats["choose_seconds"] == payload["profile"]["choose"]
+        assert stats["choose_seconds"] > 0
+
+    def test_traced_run_profile_times_choose(self, files, capsys):
+        import re
+
+        code = main(
+            [
+                files("r.txt", RUNNABLE_RULES),
+                "--schema",
+                files("s.txt", SCHEMA),
+                "--data",
+                files("d.txt", DATA),
+                "--run",
+                "insert into t values (1, 9)",
+                "--profile",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "consider bump" in out
+        match = re.search(r"^  choose: ([0-9.e-]+)$", out, re.MULTILINE)
+        assert match is not None and float(match.group(1)) > 0
+
     def test_explore_reports_instance_behavior(self, files, capsys):
         main(
             [

@@ -100,6 +100,50 @@ class TestOperations:
         assert NetEffect.from_primitives([]).operations(COLUMNS) == frozenset()
 
 
+class TestUpdatedColumnsMemo:
+    """``updated_columns`` is memoized next to ``canonical`` and must be
+    invalidated by every fold that touches the table."""
+
+    def test_revert_of_one_column_drops_it(self):
+        log = DeltaLog()
+        log.record_update("t", 1, (1, 2), (3, 5))
+        first = net(log)
+        assert first.table("t").updated_columns(COLUMNS["t"]) == {"a", "b"}
+        log.record_update("t", 1, (3, 5), (1, 5))
+        second = first.fold(log.since(1))
+        assert second.table("t").updated_columns(COLUMNS["t"]) == {"b"}
+
+    def test_identity_compaction_drops_the_column(self):
+        log = DeltaLog()
+        log.record_insert("t", 2, (7, 7))
+        log.record_update("t", 1, (1, 2), (1, 5))
+        first = net(log)
+        assert first.table("t").updated_columns(COLUMNS["t"]) == {"b"}
+        log.record_update("t", 1, (1, 5), (1, 2))
+        second = first.fold(log.since(2))
+        effect = second.table("t")
+        assert effect.inserted == {2: (7, 7)}
+        assert not effect.updated
+        assert effect.updated_columns(COLUMNS["t"]) == frozenset()
+        assert second.operations(COLUMNS) == frozenset(
+            {TriggerEvent.insert("t")}
+        )
+
+    def test_fork_after_share_does_not_see_parent_memo(self):
+        log = DeltaLog()
+        log.record_update("t", 1, (1, 2), (5, 2))
+        parent = net(log)
+        assert parent.table("t").updated_columns(COLUMNS["t"]) == {"a"}
+        child = parent.share().fold(
+            [log.record_update("t", 2, (3, 4), (3, 9))]
+        )
+        assert child.table("t").updated_columns(COLUMNS["t"]) == {"a", "b"}
+        # The fold copied the shared table effect; the parent's own
+        # memo still describes the parent's (unchanged) data.
+        assert parent.table("t").updated_columns(COLUMNS["t"]) == {"a"}
+        assert parent.table("t").updated == {1: ((1, 2), (5, 2))}
+
+
 class TestCanonical:
     def test_canonical_ignores_tids(self):
         first = DeltaLog()
